@@ -143,8 +143,7 @@ int main() {
   }
 
   // The shared preset registry keeps the bench's configuration list and
-  // output labels in lockstep with the estimator (and the ensemble's
-  // candidate pool).
+  // output labels in lockstep with the estimator.
   std::vector<EstimatorConfig> presets;
   for (int i = 0; i < EstimatorOptions::kPresetCount; ++i) {
     presets.push_back({EstimatorOptions::PresetName(i),

@@ -126,13 +126,12 @@ uint64_t EstimatorOptions::PackBits() const {
        {use_driver_nodes, refine_cardinality, bound_cardinality,
         semi_blocking_adjust, two_phase_blocking, use_weights,
         critical_path_only, storage_predicate_io, batch_mode_segments,
-        interpolate_refinement, propagate_refinement, incremental,
-        ensemble}) {
+        interpolate_refinement, propagate_refinement, incremental}) {
     if (flag) bits |= uint64_t{1} << shift;
     ++shift;
   }
-  // Bits 13-14: the bounds-engine selector (three engine kinds).
-  bits |= static_cast<uint64_t>(bounds_engine) << 13;
+  // Bits 12-13: the bounds-engine selector (three engine kinds).
+  bits |= static_cast<uint64_t>(bounds_engine) << 12;
   return bits | (refine_min_rows << 16);
 }
 

@@ -62,20 +62,11 @@ struct EstimatorOptions {
   /// (enforced by tests/estimator_workspace_test.cc); the flag exists so
   /// bench/estimator_throughput can measure both cost profiles in one run.
   bool incremental = true;
-  /// Monitor-layer mode switch, not an estimation technique: a session
-  /// registered with this set runs the robust EnsembleEstimator
-  /// (src/ensemble/) over the default candidate set — all four presets
-  /// below plus parameter variants — instead of one estimator built from
-  /// the flags above. Only `incremental` is forwarded to the candidates;
-  /// the other flags are ignored in ensemble mode. Packed as cache-key
-  /// bit 12 so ensemble and single-estimator sessions never alias one
-  /// monitor cache slot.
-  bool ensemble = false;
   /// Which bounding engine(s) derive the cardinality corridor the online
   /// clamp uses when `bound_cardinality` is set (src/lqs/bounds.h). The
   /// default reproduces the paper's Appendix A derivation bit-exactly;
   /// kIntersect additionally runs the LpBound ℓp-norm engine and
-  /// intersects the intervals per node. Packed as cache-key bits 13-14 so
+  /// intersects the intervals per node. Packed as cache-key bits 12-13 so
   /// engine choices never alias one cached estimator.
   BoundsEngineKind bounds_engine = BoundsEngineKind::kAppendixA;
   /// Guard (§4.1): minimum observed rows before refinement engages.
@@ -92,9 +83,9 @@ struct EstimatorOptions {
   static EstimatorOptions Lqs();
 
   /// Shared preset registry over the four §5 configurations above — the
-  /// one list benches, tests, the monitor cache key and the ensemble
-  /// candidate set all draw from. Indexes are stable and part of the
-  /// bench-output contract: 0="tgn", 1="bounding", 2="refined", 3="lqs".
+  /// one list benches and tests draw from. Indexes are stable and part of
+  /// the bench-output contract: 0="tgn", 1="bounding", 2="refined",
+  /// 3="lqs".
   static constexpr int kPresetCount = 4;
   /// Canonical short name of preset `index`; aborts on an out-of-range
   /// index (a registry bug, not an input condition).
@@ -104,15 +95,14 @@ struct EstimatorOptions {
   /// Parses a canonical preset name; returns false and leaves `*out`
   /// untouched on an unknown name. A registry name with an `_lp` suffix
   /// (e.g. "lqs_lp") resolves to the base preset with
-  /// `bounds_engine = kIntersect` — the LpBound-tightened clamp variants
-  /// the ensemble candidate pool draws from.
+  /// `bounds_engine = kIntersect` — the LpBound-tightened clamp variants.
   static bool PresetFromName(std::string_view name, EstimatorOptions* out);
 
   /// Packs every option field into one integer: two option sets pack
   /// equal iff they configure identical behaviour. The monitor's
-  /// estimator-cache key and the ensemble cache key are built from this,
-  /// so any new option MUST be packed here too — an unpacked flag would
-  /// alias distinct configurations onto one cached estimator.
+  /// estimator-cache key is built from this, so any new option MUST be
+  /// packed here too — an unpacked flag would alias distinct
+  /// configurations onto one cached estimator.
   uint64_t PackBits() const;
 };
 

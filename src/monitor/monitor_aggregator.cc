@@ -43,34 +43,9 @@ MonitorStats MonitorAggregator::Merge(
     merged.deltas_applied += s.deltas_applied;
     merged.delta_resyncs += s.delta_resyncs;
     merged.request_id_mismatches += s.request_id_mismatches;
-    merged.ensemble_sessions += s.ensemble_sessions;
-    merged.ensembles_cached += s.ensembles_cached;
-    merged.ensemble_candidate_estimates += s.ensemble_candidate_estimates;
-    merged.ensemble_switches += s.ensemble_switches;
     merged.lp_bounds_sessions += s.lp_bounds_sessions;
     merged.bounds_lp_tightenings += s.bounds_lp_tightenings;
     merged.bounds_intersection_inversions += s.bounds_intersection_inversions;
-    // Per-candidate vectors align across shards (every shard's ensembles
-    // run the same default candidate pool); a shard with no ensemble
-    // sessions contributes empty vectors.
-    if (merged.ensemble_candidate_names.empty()) {
-      merged.ensemble_candidate_names = s.ensemble_candidate_names;
-      merged.ensemble_candidate_latency_ms.assign(
-          merged.ensemble_candidate_names.size(), 0.0);
-      merged.ensemble_selected_ticks.assign(
-          merged.ensemble_candidate_names.size(), 0);
-    }
-    for (size_t c = 0; c < s.ensemble_candidate_latency_ms.size() &&
-                       c < merged.ensemble_candidate_latency_ms.size();
-         ++c) {
-      merged.ensemble_candidate_latency_ms[c] +=
-          s.ensemble_candidate_latency_ms[c];
-    }
-    for (size_t c = 0; c < s.ensemble_selected_ticks.size() &&
-                       c < merged.ensemble_selected_ticks.size();
-         ++c) {
-      merged.ensemble_selected_ticks[c] += s.ensemble_selected_ticks[c];
-    }
   }
   // Throughputs recompute from merged sums; averaging per-shard rates would
   // overweight idle shards.

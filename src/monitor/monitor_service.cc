@@ -41,26 +41,6 @@ const ProgressEstimator* MonitorService::CachedEstimator(
   return it->second.get();
 }
 
-const EnsembleEstimator* MonitorService::CachedEnsemble(
-    const Plan* plan, const Catalog* catalog,
-    const EstimatorOptions& options) {
-  const EstimatorKey key{plan, catalog, options.PackBits()};
-  auto it = ensemble_cache_.find(key);
-  if (it == ensemble_cache_.end()) {
-    EnsembleOptions ensemble_options;  // default candidate pool
-    ensemble_options.incremental = options.incremental;
-    // Per-candidate latency telemetry through the monitor's sanctioned
-    // clock; it feeds Workspace::Stats (aggregated post-barrier into
-    // stats()), never the reports.
-    ensemble_options.latency_clock_ms = &LatencyClockNowMs;
-    it = ensemble_cache_
-             .emplace(key, std::make_unique<EnsembleEstimator>(
-                               plan, catalog, std::move(ensemble_options)))
-             .first;
-  }
-  return it->second.get();
-}
-
 int MonitorService::RegisterSession(std::string name, const Plan* plan,
                                     const Catalog* catalog,
                                     const ProfileTrace* trace,
@@ -72,25 +52,16 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
   session.catalog = catalog;
   session.trace = trace;
   session.start_offset_ms = start_offset_ms;
-  if (estimator_options.ensemble) {
-    // Ensemble sessions estimate through the cached EnsembleEstimator and
-    // carry no invariant checker (see the Session field docs).
-    session.estimator = nullptr;
-    session.ensemble = CachedEnsemble(plan, catalog, estimator_options);
-  } else {
-    session.estimator = CachedEstimator(plan, catalog, estimator_options);
-    if (options_.check_invariants) {
-      session.checker = std::make_unique<ProgressInvariantChecker>(
-          session.estimator, options_.checker_options);
-    }
+  session.estimator = CachedEstimator(plan, catalog, estimator_options);
+  if (options_.check_invariants) {
+    session.checker = std::make_unique<ProgressInvariantChecker>(
+        session.estimator, options_.checker_options);
   }
   sessions_.push_back(std::move(session));
   {
     MutexLock lock(&stats_mu_);
     sessions_registered_ = sessions_.size();
     estimators_cached_ = estimator_cache_.size();
-    ensembles_cached_ = ensemble_cache_.size();
-    if (sessions_.back().ensemble != nullptr) ++ensemble_sessions_;
   }
   return static_cast<int>(sessions_.size()) - 1;
 }
@@ -106,15 +77,10 @@ int MonitorService::RegisterRemoteSession(
   session.catalog = catalog;
   session.trace = nullptr;
   session.start_offset_ms = start_offset_ms;
-  if (estimator_options.ensemble) {
-    session.estimator = nullptr;
-    session.ensemble = CachedEnsemble(plan, catalog, estimator_options);
-  } else {
-    session.estimator = CachedEstimator(plan, catalog, estimator_options);
-    if (options_.check_invariants) {
-      session.checker = std::make_unique<ProgressInvariantChecker>(
-          session.estimator, options_.checker_options);
-    }
+  session.estimator = CachedEstimator(plan, catalog, estimator_options);
+  if (options_.check_invariants) {
+    session.checker = std::make_unique<ProgressInvariantChecker>(
+        session.estimator, options_.checker_options);
   }
   session.client =
       std::make_unique<PollingClient>(std::move(endpoint), client_options);
@@ -123,8 +89,6 @@ int MonitorService::RegisterRemoteSession(
     MutexLock lock(&stats_mu_);
     sessions_registered_ = sessions_.size();
     estimators_cached_ = estimator_cache_.size();
-    ensembles_cached_ = ensemble_cache_.size();
-    if (sessions_.back().ensemble != nullptr) ++ensemble_sessions_;
     ++remote_sessions_;
   }
   return static_cast<int>(sessions_.size()) - 1;
@@ -188,22 +152,7 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
 void MonitorService::EstimateSession(Session* session, SessionStatus* out,
                                      double* latency_ms) {
   const double start_ms = LatencyClockNowMs();
-  if (session->ensemble != nullptr) {
-    // Ensemble arm: every candidate estimates into the session-owned
-    // report buffer; the selected candidate's report plus the winner/band
-    // view land in the status.
-    session->ensemble->EstimateInto(*out->snapshot,
-                                    &session->ensemble_workspace,
-                                    &session->ensemble_report);
-    const EnsembleReport& er = session->ensemble_report;
-    out->ensemble = true;
-    out->ensemble_winner = er.winner;
-    out->ensemble_winner_name = er.winner_name;
-    out->band_lo = er.band_lo;
-    out->band_hi = er.band_hi;
-    out->report = er.selected;
-    out->progress = er.query_progress;
-  } else if (session->checker != nullptr) {
+  if (session->checker != nullptr) {
     session->checker->EstimateCheckedInto(*out->snapshot, &session->workspace,
                                           &out->report);
     out->progress = out->report.query_progress;
@@ -285,44 +234,11 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
   uint64_t lp_tightenings = 0;
   uint64_t lp_inversions = 0;
   for (const Session& s : sessions_) {
-    if (s.estimator == nullptr) continue;
     if (s.estimator->options().bounds_engine != BoundsEngineKind::kAppendixA) {
       ++lp_sessions;
     }
     lp_tightenings += s.workspace.stats.lp_tightenings;
     lp_inversions += s.workspace.stats.intersection_inversions;
-  }
-  // Ensemble aggregation follows the same post-barrier quiescence rule:
-  // per-session ensemble workspaces are only touched by their one pool
-  // worker between fan-out and barrier.
-  uint64_t ens_candidate_estimates = 0;
-  uint64_t ens_switches = 0;
-  std::vector<std::string> ens_names;
-  std::vector<double> ens_latency;
-  std::vector<uint64_t> ens_selected;
-  for (const Session& s : sessions_) {
-    if (s.ensemble == nullptr) continue;
-    if (ens_names.empty()) {
-      const int n = s.ensemble->candidate_count();
-      ens_names.reserve(static_cast<size_t>(n));
-      for (int c = 0; c < n; ++c) {
-        ens_names.push_back(s.ensemble->candidate(c).name);
-      }
-      ens_latency.assign(ens_names.size(), 0.0);
-      ens_selected.assign(ens_names.size(), 0);
-    }
-    const EnsembleEstimator::Workspace::Stats& es = s.ensemble_workspace.stats;
-    ens_candidate_estimates += es.candidate_estimates;
-    ens_switches += es.switches;
-    // Workspace stats vectors are empty until the session's first estimate.
-    for (size_t c = 0;
-         c < es.candidate_latency_ms.size() && c < ens_latency.size(); ++c) {
-      ens_latency[c] += es.candidate_latency_ms[c];
-    }
-    for (size_t c = 0; c < es.selected_ticks.size() && c < ens_selected.size();
-         ++c) {
-      ens_selected[c] += es.selected_ticks[c];
-    }
   }
   // Counter updates happen after the ParallelFor barrier, under stats_mu_
   // only — the pool's lock is never held here, so the kMonitorStats <
@@ -330,11 +246,6 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
   MutexLock lock(&stats_mu_);
   last_degraded_ = degraded;
   transport_totals_ = transport;
-  ensemble_candidate_estimates_ = ens_candidate_estimates;
-  ensemble_switches_ = ens_switches;
-  ensemble_candidate_names_ = std::move(ens_names);
-  ensemble_candidate_latency_ms_ = std::move(ens_latency);
-  ensemble_selected_ticks_ = std::move(ens_selected);
   lp_bounds_sessions_ = lp_sessions;
   bounds_lp_tightenings_ = lp_tightenings;
   bounds_intersection_inversions_ = lp_inversions;
@@ -486,13 +397,6 @@ MonitorStats MonitorService::stats() const {
   stats.deltas_applied = transport_totals_.deltas_applied;
   stats.delta_resyncs = transport_totals_.delta_resyncs;
   stats.request_id_mismatches = transport_totals_.request_id_mismatches;
-  stats.ensemble_sessions = ensemble_sessions_;
-  stats.ensembles_cached = ensembles_cached_;
-  stats.ensemble_candidate_estimates = ensemble_candidate_estimates_;
-  stats.ensemble_switches = ensemble_switches_;
-  stats.ensemble_candidate_names = ensemble_candidate_names_;
-  stats.ensemble_candidate_latency_ms = ensemble_candidate_latency_ms_;
-  stats.ensemble_selected_ticks = ensemble_selected_ticks_;
   stats.lp_bounds_sessions = lp_bounds_sessions_;
   stats.bounds_lp_tightenings = bounds_lp_tightenings_;
   stats.bounds_intersection_inversions = bounds_intersection_inversions_;

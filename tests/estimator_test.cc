@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -278,6 +280,48 @@ TEST_F(EstimatorTest, PresetConfigurationsDiffer) {
   EstimatorOptions lqs = EstimatorOptions::Lqs();
   EXPECT_TRUE(lqs.use_weights);
   EXPECT_TRUE(lqs.two_phase_blocking);
+}
+
+TEST(EstimatorOptionsTest, PackBitsDistinguishesEveryField) {
+  // The monitor's estimator cache is keyed on PackBits(): two option sets
+  // that pack equal share one cached estimator. Flip every field of Lqs()
+  // one at a time — each boolean, each bounds engine, the refinement
+  // threshold — and require every packed value to be distinct.
+  std::vector<EstimatorOptions> variants = {EstimatorOptions::Lqs()};
+  for (bool EstimatorOptions::*flag :
+       {&EstimatorOptions::use_driver_nodes,
+        &EstimatorOptions::refine_cardinality,
+        &EstimatorOptions::bound_cardinality,
+        &EstimatorOptions::semi_blocking_adjust,
+        &EstimatorOptions::two_phase_blocking,
+        &EstimatorOptions::use_weights,
+        &EstimatorOptions::critical_path_only,
+        &EstimatorOptions::storage_predicate_io,
+        &EstimatorOptions::batch_mode_segments,
+        &EstimatorOptions::interpolate_refinement,
+        &EstimatorOptions::propagate_refinement,
+        &EstimatorOptions::incremental}) {
+    EstimatorOptions o = EstimatorOptions::Lqs();
+    o.*flag = !(o.*flag);
+    variants.push_back(o);
+  }
+  for (BoundsEngineKind engine :
+       {BoundsEngineKind::kLpBound, BoundsEngineKind::kIntersect}) {
+    EstimatorOptions o = EstimatorOptions::Lqs();
+    o.bounds_engine = engine;
+    variants.push_back(o);
+  }
+  for (uint64_t min_rows : {0, 1, 31}) {
+    EstimatorOptions o = EstimatorOptions::Lqs();
+    o.refine_min_rows = min_rows;
+    variants.push_back(o);
+  }
+  for (size_t i = 0; i < variants.size(); ++i) {
+    for (size_t j = i + 1; j < variants.size(); ++j) {
+      EXPECT_NE(variants[i].PackBits(), variants[j].PackBits())
+          << "variants " << i << " and " << j << " share a cache key";
+    }
+  }
 }
 
 TEST_F(EstimatorTest, MetricsProduceFiniteErrors) {

@@ -155,7 +155,6 @@ class PairingTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
         os.path.join(REPO_ROOT, "src", "monitor", "monitor_service.h"),
     ]
     PAIRING = os.path.join(REPO_ROOT, "tests", "estimator_alloc_test.cc")
@@ -422,7 +421,6 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
         os.path.join(REPO_ROOT, "src", "remote", "wire.h"),
         os.path.join(REPO_ROOT, "src", "monitor", "monitor_service.h"),
     ]
@@ -480,16 +478,6 @@ class DeterminismRequiredRootsTest(unittest.TestCase):
         self.assertIn("MonitorService::ComputeStatus",
                       findings[0].message)
 
-    def test_reverting_the_ensemble_marker_is_a_finding(self):
-        findings = self.findings_with(self.strip_marker(
-            "ensemble.h",
-            "LQS_NOALLOC LQS_DETERMINISTIC void EstimateInto",
-            "LQS_NOALLOC void EstimateInto"))
-        self.assertEqual(len(findings), 1,
-                         [f.render() for f in findings])
-        self.assertIn("EnsembleEstimator::EstimateInto",
-                      findings[0].message)
-
 
 class NoallocRequiredRootsTest(unittest.TestCase):
     """The LQS_NOALLOC required-root contract, symmetric to the
@@ -499,7 +487,6 @@ class NoallocRequiredRootsTest(unittest.TestCase):
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
-        os.path.join(REPO_ROOT, "src", "ensemble", "ensemble.h"),
     ]
 
     def findings_with(self, read_text=None):
@@ -537,17 +524,6 @@ class NoallocRequiredRootsTest(unittest.TestCase):
                       findings[0].message)
         self.assertIn("ProgressEstimator::EstimateInto",
                       findings[0].message)
-
-    def test_reverting_the_ensemble_marker_is_a_finding(self):
-        findings = self.findings_with(self.strip_marker(
-            "ensemble.h",
-            "LQS_NOALLOC LQS_DETERMINISTIC void EstimateInto",
-            "LQS_DETERMINISTIC void EstimateInto"))
-        self.assertEqual(len(findings), 1,
-                         [f.render() for f in findings])
-        self.assertIn("EnsembleEstimator::EstimateInto",
-                      findings[0].message)
-
 
 class LocksAnnotationRevertTest(unittest.TestCase):
     """Reverting a PR-7 concurrency annotation must be a coverage
@@ -630,12 +606,12 @@ class LayeringFixtureTest(unittest.TestCase):
         self.assertEqual(by_file[bad].line, line_of(bad, "lqs/progress.h"))
         self.assertIn("may not include 'lqs/progress.h'",
                       by_file[bad].message)
-        # The ensemble layer may reach down to lqs/ (that include is clean)
-        # but not up to monitor/.
-        ens = os.path.join(self.ROOT, "src", "ensemble", "robust.h")
-        self.assertEqual(by_file[ens].line, line_of(ens, "monitor/service.h"))
+        # A mid layer (analysis/) may reach down to lqs/ (that include is
+        # clean) but not up to monitor/.
+        mid = os.path.join(self.ROOT, "src", "analysis", "robust.h")
+        self.assertEqual(by_file[mid].line, line_of(mid, "monitor/service.h"))
         self.assertIn("may not include 'monitor/service.h'",
-                      by_file[ens].message)
+                      by_file[mid].message)
 
 
 class CycleFixtureTest(unittest.TestCase):
