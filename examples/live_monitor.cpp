@@ -67,12 +67,12 @@ void RenderFrame(const Plan& plan, const SessionStatus& status) {
       for (const auto& c : node.children) Print(*c, depth + 1);
     }
   };
-  if (status.state == SessionState::kDone) {
+  if (status.report == nullptr) {
     // The final snapshot carries no estimator report; the bars are all full.
     std::printf("  (complete — final counters received)\n");
     return;
   }
-  Renderer{*status.snapshot, status.report}.Print(*plan.root, 0);
+  Renderer{*status.snapshot, *status.report}.Print(*plan.root, 0);
 }
 
 }  // namespace

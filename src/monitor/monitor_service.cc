@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>  // lint:allow-wallclock latency telemetry (LatencyClockNowMs)
 #include <string>
+#include <tuple>
 #include <utility>
 
 namespace lqs {
@@ -41,6 +42,32 @@ const ProgressEstimator* MonitorService::CachedEstimator(
   return it->second.get();
 }
 
+int MonitorService::AddSession(Session session) {
+  const uint32_t index = static_cast<uint32_t>(sessions_.size());
+  session.report = std::make_unique<ProgressReport>();
+  SessionStatus slot;
+  slot.session_id = static_cast<int>(index);
+  slot.remote = session.client != nullptr;
+  due_.slots.push_back(slot);
+  due_.offsets.push_back(session.start_offset_ms);
+  due_.arrivals.push_back(index);
+  due_.arrivals_sorted = false;
+  // Every session may be running at once; growing with the slots' own
+  // geometric capacity keeps registration amortized O(1).
+  due_.running.reserve(due_.slots.capacity());
+  due_.latencies.reserve(due_.slots.capacity());
+  if (session.estimator->options().bounds_engine !=
+      BoundsEngineKind::kAppendixA) {
+    ++due_.lp_sessions;
+  }
+  sessions_.push_back(std::move(session));
+  MutexLock lock(&stats_mu_);
+  sessions_registered_ = sessions_.size();
+  estimators_cached_ = estimator_cache_.size();
+  if (slot.remote) ++remote_sessions_;
+  return static_cast<int>(index);
+}
+
 int MonitorService::RegisterSession(std::string name, const Plan* plan,
                                     const Catalog* catalog,
                                     const ProfileTrace* trace,
@@ -57,13 +84,7 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
     session.checker = std::make_unique<ProgressInvariantChecker>(
         session.estimator, options_.checker_options);
   }
-  sessions_.push_back(std::move(session));
-  {
-    MutexLock lock(&stats_mu_);
-    sessions_registered_ = sessions_.size();
-    estimators_cached_ = estimator_cache_.size();
-  }
-  return static_cast<int>(sessions_.size()) - 1;
+  return AddSession(std::move(session));
 }
 
 int MonitorService::RegisterRemoteSession(
@@ -84,14 +105,7 @@ int MonitorService::RegisterRemoteSession(
   }
   session.client =
       std::make_unique<PollingClient>(std::move(endpoint), client_options);
-  sessions_.push_back(std::move(session));
-  {
-    MutexLock lock(&stats_mu_);
-    sessions_registered_ = sessions_.size();
-    estimators_cached_ = estimator_cache_.size();
-    ++remote_sessions_;
-  }
-  return static_cast<int>(sessions_.size()) - 1;
+  return AddSession(std::move(session));
 }
 
 double MonitorService::HorizonMs() const {
@@ -105,41 +119,55 @@ double MonitorService::HorizonMs() const {
   return horizon;
 }
 
-bool MonitorService::AllSessionsDone() const {
-  for (const Session& s : sessions_) {
-    if (s.last_state != SessionState::kDone) return false;
+void MonitorService::SessionCounters::Tally(const Session& session,
+                                            const SessionStatus& status) {
+  if (status.degraded) ++degraded;
+  if (session.client != nullptr) {
+    const ClientStats& cs = session.client->stats();
+    transport.polls += cs.polls;
+    transport.attempts += cs.attempts;
+    transport.retries += cs.retries;
+    transport.transport_failures += cs.transport_failures;
+    transport.decode_errors += cs.decode_errors;
+    transport.accepted += cs.accepted;
+    transport.duplicates_ignored += cs.duplicates_ignored;
+    transport.regressions_rejected += cs.regressions_rejected;
+    transport.failed_polls += cs.failed_polls;
+    transport.stale_polls += cs.stale_polls;
+    transport.bytes_received += cs.bytes_received;
+    transport.deltas_applied += cs.deltas_applied;
+    transport.delta_resyncs += cs.delta_resyncs;
+    transport.request_id_mismatches += cs.request_id_mismatches;
   }
-  return true;
+  // Only non-default bounds engines ever make these nonzero.
+  lp_tightenings += session.workspace.stats.lp_tightenings;
+  lp_inversions += session.workspace.stats.intersection_inversions;
+}
+
+bool MonitorService::AllSessionsDone() const {
+  return due_.retired == sessions_.size();
 }
 
 void MonitorService::ComputeStatus(size_t index, double now_ms,
                                    SessionStatus* out, double* latency_ms) {
   Session& session = sessions_[index];
+  *out = SessionStatus{};
   out->session_id = static_cast<int>(index);
   out->local_time_ms = now_ms - session.start_offset_ms;
   out->remote = session.client != nullptr;
   *latency_ms = -1;
-  if (out->local_time_ms < 0) {
-    out->state = SessionState::kWaiting;
-    out->progress = 0;
-    session.last_state = out->state;
-    return;
-  }
   if (session.client != nullptr) {
     ComputeRemoteStatus(&session, out, latency_ms);
-    session.last_state = out->state;
     return;
   }
   if (out->local_time_ms >= session.trace->total_elapsed_ms) {
     out->state = SessionState::kDone;
     out->snapshot = &session.trace->final_snapshot;
     out->progress = 1.0;
-    session.last_state = out->state;
     return;
   }
   out->state = SessionState::kRunning;
   out->snapshot = session.trace->SnapshotAtOrBefore(out->local_time_ms);
-  session.last_state = out->state;
   if (out->snapshot == nullptr) {
     // Unreachable for executor-produced traces (the profiler snapshots on
     // its first poll), but hand-built traces may have no sample this early.
@@ -152,15 +180,16 @@ void MonitorService::ComputeStatus(size_t index, double now_ms,
 void MonitorService::EstimateSession(Session* session, SessionStatus* out,
                                      double* latency_ms) {
   const double start_ms = LatencyClockNowMs();
+  ProgressReport* report = session->report.get();
   if (session->checker != nullptr) {
     session->checker->EstimateCheckedInto(*out->snapshot, &session->workspace,
-                                          &out->report);
-    out->progress = out->report.query_progress;
+                                          report);
   } else {
     session->estimator->EstimateInto(*out->snapshot, &session->workspace,
-                                     &out->report);
-    out->progress = out->report.query_progress;
+                                     report);
   }
+  out->report = report;
+  out->progress = report->query_progress;
   *latency_ms = LatencyClockNowMs() - start_ms;
 }
 
@@ -191,86 +220,100 @@ void MonitorService::ComputeRemoteStatus(Session* session, SessionStatus* out,
   EstimateSession(session, out, latency_ms);
 }
 
-std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
-  std::vector<SessionStatus> statuses(sessions_.size());
-  std::vector<double> latencies(sessions_.size(), -1);
+void MonitorService::Advance(double now_ms) {
   const auto tick_start = std::chrono::steady_clock::now();
-  pool_.ParallelFor(sessions_.size(), [&](size_t i) {
-    ComputeStatus(i, now_ms, &statuses[i], &latencies[i]);
+  // Admission: the waiting tail of `arrivals` is sorted by start offset, so
+  // the sessions the timeline reached form its prefix. A session is
+  // admitted once its local time `now - offset` is no longer negative.
+  if (!due_.arrivals_sorted) {
+    std::sort(due_.arrivals.begin() + static_cast<ptrdiff_t>(due_.admitted),
+              due_.arrivals.end(), [this](uint32_t a, uint32_t b) {
+                return std::tie(due_.offsets[a], a) <
+                       std::tie(due_.offsets[b], b);
+              });
+    due_.arrivals_sorted = true;
+  }
+  while (due_.admitted < due_.arrivals.size() &&
+         now_ms - due_.offsets[due_.arrivals[due_.admitted]] >= 0) {
+    // LQS_ALLOC_OK("capacity for every session reserved at registration")
+    due_.running.push_back(due_.arrivals[due_.admitted++]);
+  }
+  const size_t computed = due_.running.size();
+  // LQS_ALLOC_OK("capacity for every session reserved at registration")
+  due_.latencies.resize(computed);
+  // The closure captures two words, so std::function stores it inline.
+  pool_.ParallelFor(computed, [this, now_ms](size_t k) {
+    const size_t index = due_.running[k];
+    ComputeStatus(index, now_ms, &due_.slots[index], &due_.latencies[k]);
   });
   const double tick_wall_ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - tick_start)
                                   .count();
-  // Transport aggregation runs on the driver after the barrier: per-session
-  // clients are quiescent here (the same ownership rule that lets
-  // ComputeStatus mutate them without a lock).
-  size_t degraded = 0;
-  ClientStats transport;
-  for (const SessionStatus& s : statuses) {
-    if (s.degraded) ++degraded;
-  }
-  for (const Session& s : sessions_) {
-    if (s.client == nullptr) continue;
-    const ClientStats& cs = s.client->stats();
-    transport.polls += cs.polls;
-    transport.attempts += cs.attempts;
-    transport.retries += cs.retries;
-    transport.transport_failures += cs.transport_failures;
-    transport.decode_errors += cs.decode_errors;
-    transport.accepted += cs.accepted;
-    transport.duplicates_ignored += cs.duplicates_ignored;
-    transport.regressions_rejected += cs.regressions_rejected;
-    transport.failed_polls += cs.failed_polls;
-    transport.stale_polls += cs.stale_polls;
-    transport.bytes_received += cs.bytes_received;
-    transport.deltas_applied += cs.deltas_applied;
-    transport.delta_resyncs += cs.delta_resyncs;
-    transport.request_id_mismatches += cs.request_id_mismatches;
-  }
-  // Bounds-engine aggregation: sum the per-session estimator workspace
-  // counters (only non-default engines ever make them nonzero). Same
-  // post-barrier quiescence rule as the transport loop above.
-  size_t lp_sessions = 0;
-  uint64_t lp_tightenings = 0;
-  uint64_t lp_inversions = 0;
-  for (const Session& s : sessions_) {
-    if (s.estimator->options().bounds_engine != BoundsEngineKind::kAppendixA) {
-      ++lp_sessions;
+  // Retirement and aggregation run on the ticking thread after the barrier:
+  // per-session clients and workspaces are quiescent here (the same
+  // ownership rule that lets ComputeStatus mutate them without a lock). A
+  // finished session's counters never change again, so they are folded
+  // into the retired totals once; only the running set is summed per tick.
+  size_t kept = 0;
+  for (size_t k = 0; k < computed; ++k) {
+    const uint32_t index = due_.running[k];
+    if (due_.slots[index].state == SessionState::kDone) {
+      due_.retired_counters.Tally(sessions_[index], due_.slots[index]);
+      ++due_.retired;
+    } else {
+      due_.running[kept++] = index;
     }
-    lp_tightenings += s.workspace.stats.lp_tightenings;
-    lp_inversions += s.workspace.stats.intersection_inversions;
+  }
+  due_.running.erase(due_.running.begin() + static_cast<ptrdiff_t>(kept),
+                     due_.running.end());
+  SessionCounters totals = due_.retired_counters;
+  for (uint32_t index : due_.running) {
+    totals.Tally(sessions_[index], due_.slots[index]);
+  }
+  // Waiting and retired slots only move in time. A retired remote session's
+  // client would serve its final snapshot again, aged to this tick; that
+  // age is recomputed here with the client's own formula.
+  for (size_t i = 0; i < due_.slots.size(); ++i) {
+    SessionStatus& slot = due_.slots[i];
+    if (slot.state == SessionState::kRunning) continue;
+    slot.local_time_ms = now_ms - due_.offsets[i];
+    if (slot.state == SessionState::kDone && slot.remote) {
+      slot.staleness_ms =
+          std::max(0.0, slot.local_time_ms - slot.snapshot->time_ms);
+    }
   }
   // Counter updates happen after the ParallelFor barrier, under stats_mu_
   // only — the pool's lock is never held here, so the kMonitorStats <
   // kThreadPool rank order is trivially respected.
   MutexLock lock(&stats_mu_);
-  last_degraded_ = degraded;
-  transport_totals_ = transport;
-  lp_bounds_sessions_ = lp_sessions;
-  bounds_lp_tightenings_ = lp_tightenings;
-  bounds_intersection_inversions_ = lp_inversions;
+  last_degraded_ = totals.degraded;
+  transport_totals_ = totals.transport;
+  lp_bounds_sessions_ = due_.lp_sessions;
+  bounds_lp_tightenings_ = totals.lp_tightenings;
+  bounds_intersection_inversions_ = totals.lp_inversions;
   wall_ms_ += tick_wall_ms;
+  // LQS_ALLOC_OK("reservoir slots are reserved at construction")
   tick_latencies_ms_.Add(tick_wall_ms);
   ++ticks_;
-  last_active_ = last_waiting_ = last_done_ = 0;
-  for (const SessionStatus& s : statuses) {
-    switch (s.state) {
-      case SessionState::kWaiting: ++last_waiting_; break;
-      case SessionState::kRunning: ++last_active_; break;
-      case SessionState::kDone: ++last_done_; break;
-    }
-  }
+  last_waiting_ = due_.slots.size() - due_.admitted;
+  last_active_ = due_.running.size();
+  last_done_ = due_.retired;
   last_tick_estimate_ms_ = 0;
-  for (double latency : latencies) {
-    if (latency >= 0) {
-      ++reports_computed_;
-      estimate_latencies_ms_.Add(latency);
-      estimate_wall_ms_ += latency;
-      last_tick_estimate_ms_ += latency;
-      max_estimate_latency_ms_ = std::max(max_estimate_latency_ms_, latency);
-    }
+  for (size_t k = 0; k < computed; ++k) {
+    const double latency = due_.latencies[k];
+    if (latency < 0) continue;
+    ++reports_computed_;
+    // LQS_ALLOC_OK("reservoir slots are reserved at construction")
+    estimate_latencies_ms_.Add(latency);
+    estimate_wall_ms_ += latency;
+    last_tick_estimate_ms_ += latency;
+    max_estimate_latency_ms_ = std::max(max_estimate_latency_ms_, latency);
   }
-  return statuses;
+}
+
+std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
+  Advance(now_ms);
+  return due_.slots;
 }
 
 void MonitorService::RunToCompletion(

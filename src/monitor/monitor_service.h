@@ -65,8 +65,10 @@ struct SessionStatus {
   /// The DMV poll the estimate was computed from (null while waiting, the
   /// final snapshot once done).
   const ProfileSnapshot* snapshot = nullptr;
-  /// Full estimator output; meaningful while kRunning.
-  ProgressReport report;
+  /// Full estimator output, owned by the session: non-null only on ticks
+  /// that estimated (kRunning with a snapshot). Like `snapshot`, it stays
+  /// valid until the next Tick of the service that produced it.
+  const ProgressReport* report = nullptr;
   /// [0, 1]; 0 while waiting, 1 once done, report.query_progress otherwise.
   double progress = 0;
 
@@ -176,6 +178,14 @@ struct MonitorStats {
 /// private Workspace — while the per-session ProgressInvariantChecker state
 /// stays private to its session.
 ///
+/// Due set (DESIGN.md §8): a tick costs one ComputeStatus per *running*
+/// session, not per registered one. Each session owns a persistent status
+/// slot. Sessions wait in an arrival order sorted by start offset and are
+/// admitted to the running set once the timeline reaches them; a session
+/// that reaches kDone is retired — never polled or estimated again, its
+/// transport and bounds counters folded into running totals once. Waiting
+/// and retired slots only have their time fields advanced.
+///
 /// Determinism contract: results depend only on the registered sessions and
 /// the tick times, never on options.num_threads or scheduling. Work is
 /// computed in parallel into per-session slots and returned in session
@@ -221,11 +231,14 @@ class MonitorService {
                             const EstimatorOptions& estimator_options =
                                 EstimatorOptions::Lqs());
 
-  /// Transport counters of one endpoint-backed session (e.g. to inspect the
-  /// fault mix a test injected). Must be a remote session id. Driver thread
-  /// only — the client is session state, not behind stats_mu_.
+  /// Transport counters of one session (e.g. to inspect the fault mix a
+  /// test injected); all zero for a local trace-backed session. Call it
+  /// from the ticking thread — the client is session state, not behind
+  /// stats_mu_.
   const ClientStats& session_client_stats(int session_id) const {
-    return sessions_[static_cast<size_t>(session_id)].client->stats();
+    static const ClientStats kLocal;
+    const Session& session = sessions_[static_cast<size_t>(session_id)];
+    return session.client != nullptr ? session.client->stats() : kLocal;
   }
 
   size_t session_count() const { return sessions_.size(); }
@@ -242,9 +255,22 @@ class MonitorService {
   /// True when every session has reached kDone as of the last tick.
   bool AllSessionsDone() const;
 
-  /// Advances the shared timeline to `now_ms` and computes every session's
-  /// status. Call with non-decreasing times — the invariant checkers
-  /// require in-order replay. Returned statuses are indexed by session id.
+  /// Advances the shared timeline to `now_ms` and brings every session's
+  /// status slot up to date (see statuses()): admits the sessions the
+  /// timeline reached, computes the running set, retires finished sessions
+  /// and advances the time fields of the rest. Call with non-decreasing
+  /// times — the invariant checkers require in-order replay.
+  /// LQS_NOALLOC: the steady-state tick body. The running-set and latency
+  /// buffers are reserved at registration, so it allocates only through
+  /// ComputeStatus's annotated boundaries.
+  LQS_NOALLOC void Advance(double now_ms) LQS_EXCLUDES(stats_mu_);
+
+  /// Status slots as of the last Advance, indexed by session id; a session
+  /// registered since then shows kWaiting. The reference (and each slot's
+  /// `report`) stays valid until the next Advance or registration.
+  const std::vector<SessionStatus>& statuses() const { return due_.slots; }
+
+  /// Advance(now_ms), then a copy of statuses().
   std::vector<SessionStatus> Tick(double now_ms) LQS_EXCLUDES(stats_mu_);
 
   /// Runs the whole timeline: ticks from the first tick mark through the
@@ -278,9 +304,10 @@ class MonitorService {
     /// Like `checker`, it is per-session mutable state: touched by exactly
     /// one pool worker per tick, ticks ordered by the ParallelFor barrier.
     std::unique_ptr<PollingClient> client;
-    /// Latest state, written by ComputeStatus (same ownership as above) so
-    /// the driver can detect completion and aggregate transport stats.
-    SessionState last_state = SessionState::kWaiting;
+    /// The report the status slot points at; heap-held so the pointer
+    /// survives sessions_ growing, and reused across ticks so estimating
+    /// into it allocates nothing once sized (same ownership as `checker`).
+    std::unique_ptr<ProgressReport> report;
     /// Estimation scratch reused across ticks, bound to `estimator` on the
     /// first estimate. Estimators are shared across sessions via the cache,
     /// but each session owns its workspace — exactly the one-workspace-per-
@@ -298,13 +325,18 @@ class MonitorService {
                                            const Catalog* catalog,
                                            const EstimatorOptions& options);
 
-  /// Computes one session's status at `now_ms` (runs on a pool worker).
-  /// LQS_NOALLOC: this is the steady-state body of Tick() — one call per
-  /// active session per tick, fanned out across the pool. Its deliberate
-  /// allocation boundaries (workspace sizing, transport decode, violation
-  /// reporting) are LQS_ALLOC_OK-annotated at their definitions;
-  /// everything else must stay heap-free (tests/estimator_alloc_test.cc
-  /// bounds the whole Tick at runtime).
+  /// Registration tail shared by both Register* calls: appends the session
+  /// with its waiting slot and grows the per-tick buffers to fit it.
+  int AddSession(Session session);
+
+  /// Computes one running session's status at `now_ms` (runs on a pool
+  /// worker), fully overwriting `*out`.
+  /// LQS_NOALLOC: one call per running session per tick, fanned out across
+  /// the pool by Advance(). Its deliberate allocation boundaries (workspace
+  /// sizing, transport decode, violation reporting) are
+  /// LQS_ALLOC_OK-annotated at their definitions; everything else must stay
+  /// heap-free (tests/estimator_alloc_test.cc bounds the whole Tick at
+  /// runtime).
   /// LQS_DETERMINISTIC: the session-ordered output (`*out`) depends only on
   /// the session's registered inputs and `now_ms`, never on threads or
   /// wall-clock time; the one sanctioned exception is `*latency_ms`, pure
@@ -338,6 +370,47 @@ class MonitorService {
   // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
   std::map<EstimatorKey, std::unique_ptr<ProgressEstimator>> estimator_cache_;
 
+  /// The per-session counters stats() sums over the fleet.
+  struct SessionCounters {
+    size_t degraded = 0;
+    ClientStats transport;
+    uint64_t lp_tightenings = 0;
+    uint64_t lp_inversions = 0;
+
+    /// Adds one session's counters as of its latest status.
+    void Tally(const Session& session, const SessionStatus& status);
+  };
+
+  /// Due-set bookkeeping (DESIGN.md §8). Capacity for every registered
+  /// session is reserved at registration, so Advance never grows a buffer.
+  struct DueSet {
+    /// One status slot per session, indexed by session id. Pool workers
+    /// write the running sessions' slots between fan-out and barrier.
+    std::vector<SessionStatus> slots;
+    /// Start offsets by session id: the arrival sort key and the source of
+    /// every waiting or retired slot's local_time_ms.
+    std::vector<double> offsets;
+    /// Session ids in arrival order. [0, admitted) are admitted; the rest
+    /// wait sorted by (start offset, id), re-sorted by the first Advance
+    /// after a registration.
+    std::vector<uint32_t> arrivals;
+    size_t admitted = 0;
+    bool arrivals_sorted = true;
+    /// Admitted sessions not yet done, in admission order, and one latency
+    /// per running-set position.
+    std::vector<uint32_t> running;
+    std::vector<double> latencies;
+    /// Sessions retired so far and their counters, folded in once at
+    /// retirement (they never change afterwards).
+    size_t retired = 0;
+    SessionCounters retired_counters;
+    /// Registered sessions running a non-default bounds engine, published
+    /// to lp_bounds_sessions_ by the next tick.
+    size_t lp_sessions = 0;
+  };
+  // lqs-verify: guard-ok(ticking-thread-owned; stats() reads mirrors)
+  DueSet due_;
+
   /// Guards the counters behind stats(). The driver updates them at
   /// registration and once per tick after the ParallelFor barrier (never
   /// while holding the pool's lock — kMonitorStats < kThreadPool keeps even
@@ -365,12 +438,12 @@ class MonitorService {
   /// allocate inside the tick's budget, see latency_reservoir.h).
   LatencyReservoir estimate_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
   LatencyReservoir tick_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
-  /// Transport aggregates, recomputed by the driver after each tick's
-  /// barrier from the per-session clients and published here for stats().
+  /// Transport aggregates, published after each tick's barrier: the
+  /// retired totals plus the running sessions' clients.
   size_t last_degraded_ LQS_GUARDED_BY(stats_mu_) = 0;
   ClientStats transport_totals_ LQS_GUARDED_BY(stats_mu_);
-  /// Bounds-engine aggregates, recomputed from the per-session estimator
-  /// workspaces under the same post-barrier quiescence rule.
+  /// Bounds-engine aggregates, from the per-session estimator workspaces
+  /// under the same post-barrier quiescence rule.
   size_t lp_bounds_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
   uint64_t bounds_lp_tightenings_ LQS_GUARDED_BY(stats_mu_) = 0;
   uint64_t bounds_intersection_inversions_ LQS_GUARDED_BY(stats_mu_) = 0;

@@ -80,8 +80,10 @@ std::vector<SessionStatus> ShardedMonitor::Tick(double now_ms) {
   std::vector<SessionStatus> statuses(session_homes_.size());
   // Completion is exempt from backpressure: at or past the horizon every
   // shard ticks every time, so degraded shards still deliver their final
-  // reports instead of holding a stale running view forever.
-  const bool at_horizon = now_ms + 1e-9 >= HorizonMs();
+  // reports instead of holding a stale running view forever. Without a
+  // budget every shard is due anyway, so the horizon is not consulted.
+  const bool at_horizon =
+      options_.shard_tick_budget_ms > 0 && now_ms + 1e-9 >= HorizonMs();
   for (size_t shard_index = 0; shard_index < shards_.size(); ++shard_index) {
     Shard& shard = shards_[shard_index];
     int divisor;
@@ -94,28 +96,28 @@ std::vector<SessionStatus> ShardedMonitor::Tick(double now_ms) {
       divisor = poll_divisors_[shard_index];
     }
     const bool due =
-        shard.held.empty() || divisor <= 1 || at_horizon ||
+        shard.computed_sessions == 0 || divisor <= 1 || at_horizon ||
         tick_index_ % static_cast<uint64_t>(divisor) == 0;
     if (due) {
       const auto start = std::chrono::steady_clock::now();
-      shard.held = shard.service->Tick(now_ms);
+      shard.service->Advance(now_ms);
       const double wall_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();
+      shard.computed_sessions = shard.service->session_count();
       MutexLock lock(&backpressure_mu_);
       last_tick_wall_ms_[shard_index] = wall_ms;
       AdjustBackpressure(static_cast<int>(shard_index));
-    } else {
+    }
+    const std::vector<SessionStatus>& slots = shard.service->statuses();
+    for (size_t local = 0; local < shard.computed_sessions; ++local) {
+      SessionStatus& status =
+          statuses[static_cast<size_t>(shard.global_ids[local])];
+      status = slots[local];
+      status.session_id = shard.global_ids[local];
       // Skipped by admission control: the held view is served as-is, but
       // flagged — a dashboard must know it is looking at old data.
-      for (SessionStatus& held : shard.held) {
-        if (held.state == SessionState::kRunning) held.stale = true;
-      }
-    }
-    for (size_t local = 0; local < shard.held.size(); ++local) {
-      const int global_id = shard.global_ids[local];
-      statuses[static_cast<size_t>(global_id)] = shard.held[local];
-      statuses[static_cast<size_t>(global_id)].session_id = global_id;
+      if (!due && status.state == SessionState::kRunning) status.stale = true;
     }
   }
   ++tick_index_;

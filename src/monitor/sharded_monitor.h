@@ -106,8 +106,9 @@ class ShardedMonitor {
   bool AllSessionsDone() const;
 
   /// Ticks every due shard at `now_ms` (non-decreasing across calls) and
-  /// returns statuses indexed by global session id. Sessions on shards
-  /// skipped by backpressure report their held status with `stale` set.
+  /// returns statuses indexed by global session id, copied straight from
+  /// the shards' status slots. Sessions on shards skipped by backpressure
+  /// report their held status, running ones with `stale` set.
   std::vector<SessionStatus> Tick(double now_ms);
 
   /// Runs the whole timeline (same contract as
@@ -132,9 +133,11 @@ class ShardedMonitor {
     std::unique_ptr<MonitorService> service;
     /// Local session index -> global session id.
     std::vector<int> global_ids;
-    /// Statuses from this shard's most recent computed tick, served (with
-    /// `stale` forced) on ticks backpressure skips.
-    std::vector<SessionStatus> held;
+    /// Sessions the shard's most recent computed tick covered (0 before
+    /// its first). On ticks backpressure skips, their slots are served as
+    /// held, running ones marked stale; later registrations stay default
+    /// until the shard next computes.
+    size_t computed_sessions = 0;
   };
 
   struct SessionHome {

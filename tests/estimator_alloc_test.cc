@@ -282,12 +282,12 @@ TEST_F(EstimatorAllocTest, NonIncrementalEstimateIntoAlsoAllocatesNothing) {
 
 TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
   // Monitor-layer audit of the same property, multi-session: after warmup
-  // ticks have sized every session's workspace, a steady-state Tick() may
-  // allocate only for its RETURNED statuses — the by-value vector plus the
-  // four report-vector copies per session — never for estimation itself.
-  // The budget below is a couple of times that envelope (thread-pool job
-  // dispatch also allocates); a regressed estimation path costs upwards of
-  // a dozen vectors per session per tick and blows well past it.
+  // ticks have sized every session's workspace and report, a steady-state
+  // Tick() may allocate only its RETURNED vector (plus thread-pool job
+  // dispatch) — a constant, whatever the session count. Status slots,
+  // reports and the running-set buffers are reused tick to tick, so one
+  // allocation per session per tick anywhere on the path blows the budget
+  // at 8 sessions and again, eightfold, at 64.
   Plan plan = Annotated(
       HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
                        {1}),
@@ -296,40 +296,48 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
   exec.snapshot_interval_ms = 2.0;
   auto result = MustExecute(plan, catalog_.get(), exec);
 
-  constexpr size_t kSessions = 8;
-  MonitorService monitor;
-  for (size_t i = 0; i < kSessions; ++i) {
-    monitor.RegisterSession("s" + std::to_string(i), &plan, catalog_.get(),
-                            &result.trace, 3.0 * static_cast<double>(i));
+  constexpr uint64_t kPerTickBudget = 2;
+  // The last arrival plus one snapshot interval: by then every session has
+  // a snapshot to estimate from.
+  const double warm_ms = 3.0 * 7 + exec.snapshot_interval_ms;
+  for (size_t sessions : {size_t{8}, size_t{64}}) {
+    MonitorService monitor;
+    for (size_t i = 0; i < sessions; ++i) {
+      monitor.RegisterSession("s" + std::to_string(i), &plan, catalog_.get(),
+                              &result.trace,
+                              3.0 * static_cast<double>(i % 8));
+    }
+    // Warmup ends past the last arrival, so every session has estimated
+    // (sizing its workspace and report) before the window opens.
+    constexpr int kWarmupTicks = 4;
+    for (int i = 1; i <= kWarmupTicks; ++i) {
+      (void)monitor.Tick(warm_ms * i / kWarmupTicks);
+    }
+    ASSERT_EQ(monitor.stats().waiting, 0u);
+    // 80 measured ticks x 8 sessions = 640 estimate-latency samples — past
+    // the 512-slot LatencyReservoir capacity, so the measured window covers
+    // both the reservoir's fill phase and its steady-state replacement
+    // path (a grow-forever vector here would charge reallocation against
+    // the budget; the reservoir must not allocate at all after
+    // construction).
+    constexpr int kMeasuredTicks = 80;
+    const double step = (monitor.HorizonMs() - warm_ms) / (kMeasuredTicks + 1);
+    double now = warm_ms;
+    AllocationWindow window;
+    for (int i = 0; i < kMeasuredTicks; ++i) {
+      now += step;
+      (void)monitor.Tick(now);
+    }
+    // Runtime side of the static contract (src/monitor/monitor_service.h):
+    // the measured ticks run the annotated due-set tick body and, inside
+    // it, the annotated per-session body.
+    // LQS_NOALLOC_PAIRED: MonitorService::Advance
+    // LQS_NOALLOC_PAIRED: MonitorService::ComputeStatus
+    EXPECT_LE(window.count(),
+              kPerTickBudget * static_cast<uint64_t>(kMeasuredTicks))
+        << sessions << " sessions: steady-state monitor ticks allocated "
+        << window.count() / kMeasuredTicks << " times per tick";
   }
-  const double horizon = monitor.HorizonMs();
-  constexpr int kWarmupTicks = 4;
-  // 80 measured ticks x 8 sessions = 640 estimate-latency samples — past
-  // the 512-slot LatencyReservoir capacity, so the measured window covers
-  // both the reservoir's fill phase and its steady-state replacement path
-  // (a grow-forever vector here would charge reallocation against the
-  // budget; the reservoir must not allocate at all after construction).
-  constexpr int kMeasuredTicks = 80;
-  const double step = horizon / (kWarmupTicks + kMeasuredTicks + 1);
-  double now = 0;
-  for (int i = 0; i < kWarmupTicks; ++i) {
-    now += step;
-    (void)monitor.Tick(now);
-  }
-
-  AllocationWindow window;
-  for (int i = 0; i < kMeasuredTicks; ++i) {
-    now += step;
-    (void)monitor.Tick(now);
-  }
-  const uint64_t per_tick_budget = 8 * kSessions + 64;
-  // Runtime side of the static contract (src/monitor/monitor_service.h):
-  // the measured ticks run the annotated steady-state session body.
-  // LQS_NOALLOC_PAIRED: MonitorService::ComputeStatus
-  EXPECT_LE(window.count(),
-            per_tick_budget * static_cast<uint64_t>(kMeasuredTicks))
-      << "steady-state monitor ticks allocated "
-      << window.count() / kMeasuredTicks << " times per tick";
 }
 
 TEST_F(EstimatorAllocTest, FreshEstimateAllocatesAsExpected) {

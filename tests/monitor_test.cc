@@ -177,8 +177,10 @@ TEST_F(MonitorTest, OutputIdenticalAcrossThreadCounts) {
           for (const SessionStatus& s : statuses) {
             rendered += StringF("  %d state=%d p=%.17g", s.session_id,
                                 static_cast<int>(s.state), s.progress);
-            for (double op : s.report.operator_progress) {
-              rendered += StringF(" %.17g", op);
+            if (s.report != nullptr) {
+              for (double op : s.report->operator_progress) {
+                rendered += StringF(" %.17g", op);
+              }
             }
             rendered += "\n";
           }

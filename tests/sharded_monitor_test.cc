@@ -12,10 +12,18 @@
 //    and per-session progress stays monotone — degradation never wedges;
 //  - RunToCompletion's tick loop is indexed, not accumulated: a tick width
 //    that is inexact in binary must still land the final tick exactly on
-//    the horizon instead of drifting past it.
+//    the horizon instead of drifting past it;
+//  - every field of every status on every tick of a mixed local/lossy
+//    fleet matches a committed golden digest, for both monitors and any
+//    thread count, backpressure's held/stale path included;
+//  - counters are conserved: fleet transport totals equal the per-session
+//    sums, state counts equal the returned vector's, and reports_computed
+//    equals the estimated (tick, session) pairs.
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +36,7 @@
 #include "monitor/sharded_monitor.h"
 #include "optimizer/annotate.h"
 #include "remote/endpoint.h"
+#include "remote/fault_injection.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
 
@@ -318,6 +327,260 @@ TEST_F(ShardedMonitorTest, RemoteSessionsRouteAndAggregateTransportStats) {
     bytes_across_sessions += monitor.session_client_stats(i).bytes_received;
   }
   EXPECT_EQ(bytes_across_sessions, fleet.transport_bytes);
+}
+
+// --- Golden status digest and counter conservation over a mixed fleet ---
+
+uint64_t Mix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+const ProgressReport* ReportOf(const SessionStatus& s) { return s.report; }
+
+uint64_t MixVector(uint64_t h, const std::vector<double>* v) {
+  h = Mix(h, v == nullptr ? 0 : v->size());
+  if (v != nullptr) {
+    for (double x : *v) h = Mix(h, Bits(x));
+  }
+  return h;
+}
+
+/// FNV-1a over every field of one status. A missing report hashes as four
+/// empty vectors, the way an unestimated status's report always read.
+uint64_t MixStatus(uint64_t h, const SessionStatus& s) {
+  h = Mix(h, static_cast<uint64_t>(s.session_id));
+  h = Mix(h, static_cast<uint64_t>(s.state));
+  h = Mix(h, Bits(s.local_time_ms));
+  h = Mix(h, Bits(s.progress));
+  h = Mix(h, s.stale);
+  h = Mix(h, Bits(s.staleness_ms));
+  h = Mix(h, s.degraded);
+  h = Mix(h, static_cast<uint64_t>(s.consecutive_failures));
+  h = Mix(h, s.remote);
+  h = Mix(h, s.snapshot == nullptr ? ~0ull : Bits(s.snapshot->time_ms));
+  const ProgressReport* r = ReportOf(s);
+  h = MixVector(h, r == nullptr ? nullptr : &r->operator_progress);
+  h = MixVector(h, r == nullptr ? nullptr : &r->refined_rows);
+  h = MixVector(h, r == nullptr ? nullptr : &r->pipeline_progress);
+  h = MixVector(h, r == nullptr ? nullptr : &r->pipeline_weight);
+  return h;
+}
+
+uint64_t MixTick(uint64_t h, double now_ms,
+                 const std::vector<SessionStatus>& statuses) {
+  h = Mix(h, Bits(now_ms));
+  h = Mix(h, statuses.size());
+  for (const SessionStatus& s : statuses) h = MixStatus(h, s);
+  return h;
+}
+
+/// Even sessions read their trace locally; odd ones poll it as deltas over
+/// a lossy link that drops, delays, duplicates and corrupts responses, with
+/// kInterpolate filling the gaps. Sessions i and i + 6 share a start
+/// offset, so arrival ties are broken by id. All estimate with lqs_lp.
+class MixedFleetTest : public ShardedMonitorTest {
+ protected:
+  static constexpr double kTickMs = 2.0;
+  static constexpr int kSessions = 12;
+
+  void SetUp() override {
+    ShardedMonitorTest::SetUp();
+    ASSERT_TRUE(EstimatorOptions::PresetFromName("lqs_lp", &lqs_lp_));
+    plans_.push_back(Annotated(HashAgg(
+        HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0}, {1}),
+        {2}, {Count()})));
+    plans_.push_back(Annotated(Sort(Scan("t_big"), {2})));
+    for (const Plan& plan : plans_) traces_.push_back(Traced(plan, kTickMs));
+  }
+
+  template <typename Monitor>
+  void Register(Monitor* monitor, int i, double offset_ms) {
+    const size_t q = static_cast<size_t>(i) % plans_.size();
+    if (i % 2 == 0) {
+      monitor->RegisterSession(Key(i), &plans_[q], catalog_.get(),
+                               &traces_[q].trace, offset_ms, lqs_lp_);
+      return;
+    }
+    LoopbackOptions loopback;
+    loopback.serve_deltas = true;
+    FaultConfig faults;
+    faults.drop_probability = 0.10;
+    faults.delay_probability = 0.10;
+    faults.max_delay_ms = 3 * kTickMs;
+    faults.duplicate_probability = 0.05;
+    faults.corrupt_probability = 0.02;
+    faults.seed = 1000 + static_cast<uint64_t>(i);
+    PollingClientOptions client;
+    client.staleness_policy = StalenessPolicy::kInterpolate;
+    client.jitter_seed = 77 + static_cast<uint64_t>(i);
+    monitor->RegisterRemoteSession(
+        Key(i), &plans_[q], catalog_.get(),
+        std::make_unique<FaultInjectingEndpoint>(
+            std::make_unique<LoopbackEndpoint>(&traces_[q].trace, loopback),
+            faults),
+        offset_ms, client, lqs_lp_);
+  }
+
+  template <typename Monitor>
+  void RegisterFleet(Monitor* monitor) {
+    for (int i = 0; i < kSessions; ++i) Register(monitor, i, (i % 6) * 3.0);
+  }
+
+  EstimatorOptions lqs_lp_;
+  std::vector<Plan> plans_;
+  std::vector<ExecutionResult> traces_;
+};
+
+// Digests of the fleet's full status stream. Recompute only for a change
+// that is meant to alter served statuses, and say why in the change.
+constexpr uint64_t kServiceGolden = 0xc453c53d7703e0aeull;
+constexpr uint64_t kShardedGolden = 0xd8a15430fa9d56b2ull;
+
+TEST_F(MixedFleetTest, ServiceStatusStreamMatchesGolden) {
+  for (int threads : {1, 4}) {
+    MonitorOptions options;
+    options.num_threads = threads;
+    MonitorService monitor(options);
+    RegisterFleet(&monitor);
+    uint64_t h = 1469598103934665603ull;
+    h = MixTick(h, kTickMs, monitor.Tick(kTickMs));
+    // A late registration lands mid-way through the waiting queue.
+    Register(&monitor, kSessions, 7.0);
+    const double horizon = monitor.HorizonMs();
+    for (int64_t i = 2;; ++i) {
+      const double t = static_cast<double>(i) * kTickMs;
+      h = MixTick(h, t, monitor.Tick(t));
+      if (t >= horizon && monitor.AllSessionsDone()) break;
+      ASSERT_LT(i, 2000) << "fleet never finished";
+    }
+    EXPECT_TRUE(monitor.FinalCheck().ok());
+    EXPECT_EQ(h, kServiceGolden)
+        << threads << " thread(s): got 0x" << std::hex << h;
+  }
+}
+
+TEST_F(MixedFleetTest, ShardedStatusStreamUnderBackpressureMatchesGolden) {
+  for (int threads : {1, 4}) {
+    ShardedMonitorOptions options;
+    options.num_shards = 3;
+    options.shard_options.num_threads = threads;
+    options.shard_options.tick_ms = kTickMs;
+    // Every computed tick overruns this budget, so each shard's divisor
+    // doubles on every tick it computes, up to the cap, whatever the
+    // machine: the skipped ticks (held slots served stale) are fixed.
+    options.shard_tick_budget_ms = 1e-9;
+    ShardedMonitor monitor(options);
+    RegisterFleet(&monitor);
+    uint64_t h = 1469598103934665603ull;
+    uint64_t stale = 0;
+    monitor.RunToCompletion(
+        [&](double t, const std::vector<SessionStatus>& statuses) {
+          h = MixTick(h, t, statuses);
+          for (const SessionStatus& s : statuses) stale += s.stale;
+        });
+    EXPECT_TRUE(monitor.AllSessionsDone());
+    EXPECT_GT(stale, 0u);
+    EXPECT_EQ(h, kShardedGolden)
+        << threads << " thread(s): got 0x" << std::hex << h;
+  }
+}
+
+/// Runs `monitor` to completion, checking on every tick that the published
+/// state counts and reports_computed agree with a recount over the returned
+/// statuses, and at the end that every transport counter equals the sum of
+/// the per-session client counters (all zero for local sessions).
+template <typename Monitor>
+void ExpectCountersConserved(Monitor* monitor) {
+  uint64_t estimated = 0;
+  int ticks = 0;
+  monitor->RunToCompletion(
+      [&](double t, const std::vector<SessionStatus>& statuses) {
+        ++ticks;
+        size_t waiting = 0, active = 0, done = 0, degraded = 0;
+        for (const SessionStatus& s : statuses) {
+          switch (s.state) {
+            case SessionState::kWaiting: ++waiting; break;
+            case SessionState::kRunning: ++active; break;
+            case SessionState::kDone: ++done; break;
+          }
+          if (s.degraded) ++degraded;
+          if (s.state == SessionState::kRunning && s.report != nullptr) {
+            ++estimated;
+          }
+        }
+        const MonitorStats stats = monitor->stats();
+        EXPECT_EQ(stats.waiting, waiting) << "t=" << t;
+        EXPECT_EQ(stats.active, active) << "t=" << t;
+        EXPECT_EQ(stats.done, done) << "t=" << t;
+        EXPECT_EQ(stats.degraded_sessions, degraded) << "t=" << t;
+        EXPECT_EQ(stats.reports_computed, estimated) << "t=" << t;
+      });
+  EXPECT_GT(ticks, 0);
+  EXPECT_GT(estimated, 0u);
+  EXPECT_TRUE(monitor->AllSessionsDone());
+
+  ClientStats sum;
+  for (size_t i = 0; i < monitor->session_count(); ++i) {
+    const ClientStats& c = monitor->session_client_stats(static_cast<int>(i));
+    sum.polls += c.polls;
+    sum.retries += c.retries;
+    sum.transport_failures += c.transport_failures;
+    sum.decode_errors += c.decode_errors;
+    sum.accepted += c.accepted;
+    sum.duplicates_ignored += c.duplicates_ignored;
+    sum.regressions_rejected += c.regressions_rejected;
+    sum.stale_polls += c.stale_polls;
+    sum.bytes_received += c.bytes_received;
+    sum.deltas_applied += c.deltas_applied;
+    sum.delta_resyncs += c.delta_resyncs;
+    sum.request_id_mismatches += c.request_id_mismatches;
+  }
+  const MonitorStats stats = monitor->stats();
+  EXPECT_EQ(stats.transport_polls, sum.polls);
+  EXPECT_EQ(stats.transport_retries, sum.retries);
+  EXPECT_EQ(stats.transport_failures, sum.transport_failures);
+  EXPECT_EQ(stats.decode_errors, sum.decode_errors);
+  EXPECT_EQ(stats.snapshots_accepted, sum.accepted);
+  EXPECT_EQ(stats.duplicates_ignored, sum.duplicates_ignored);
+  EXPECT_EQ(stats.regressions_rejected, sum.regressions_rejected);
+  EXPECT_EQ(stats.stale_reports, sum.stale_polls);
+  EXPECT_EQ(stats.transport_bytes, sum.bytes_received);
+  EXPECT_EQ(stats.deltas_applied, sum.deltas_applied);
+  EXPECT_EQ(stats.delta_resyncs, sum.delta_resyncs);
+  EXPECT_EQ(stats.request_id_mismatches, sum.request_id_mismatches);
+  // The lossy link really exercised the counters being conserved.
+  EXPECT_GT(sum.retries, 0u);
+  EXPECT_GT(sum.stale_polls, 0u);
+  EXPECT_GT(sum.deltas_applied, 0u);
+}
+
+TEST_F(MixedFleetTest, ServiceCountersAreConserved) {
+  MonitorOptions options;
+  options.num_threads = 4;
+  options.tick_ms = kTickMs;
+  MonitorService monitor(options);
+  RegisterFleet(&monitor);
+  ExpectCountersConserved(&monitor);
+}
+
+TEST_F(MixedFleetTest, ShardedCountersAreConserved) {
+  ShardedMonitorOptions options;
+  options.num_shards = 3;
+  options.shard_options.num_threads = 4;
+  options.shard_options.tick_ms = kTickMs;
+  ShardedMonitor monitor(options);
+  RegisterFleet(&monitor);
+  ExpectCountersConserved(&monitor);
 }
 
 // Regression test for the accumulated-tick drift bug. With tick_ms = 6.7 —
