@@ -4,10 +4,11 @@
 //
 // Both modes run in one invocation over the identical snapshot schedule:
 //
-//  - "fresh": ProgressEstimator with incremental=false, one Estimate() per
-//    snapshot — the paper's stateless §2.2 client, which reallocates every
-//    intermediate vector and re-derives every snapshot-independent quantity
-//    (catalog lookups, Appendix A coefficients, §4.6 weight terms) per poll.
+//  - "fresh": ProgressEstimator with incremental=false, one EstimateInto
+//    per snapshot against a fresh Workspace and report — the paper's
+//    stateless §2.2 client, which reallocates every intermediate vector and
+//    re-derives every snapshot-independent quantity (catalog lookups,
+//    Appendix A coefficients, §4.6 weight terms) per poll.
 //  - "reuse": incremental=true estimators, one Workspace per session,
 //    EstimateInto() — the zero-allocation engine with hoisted plan analysis
 //    and finished-operator short-circuits.
@@ -92,7 +93,9 @@ CellResult RunCell(std::vector<ReplaySession>* sessions, bool reuse) {
         if (reuse) {
           s.estimator->EstimateInto(snaps[t], &s.workspace, &s.report);
         } else {
-          s.report = s.estimator->Estimate(snaps[t]);
+          ProgressEstimator::Workspace workspace;
+          s.report = ProgressReport();
+          s.estimator->EstimateInto(snaps[t], &workspace, &s.report);
         }
         cell.progress_sum += s.report.query_progress;
         ++cell.estimates;

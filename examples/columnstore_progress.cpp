@@ -72,7 +72,7 @@ bool RunOne(Workload& w, bool columnstore) {
               columnstore ? "an order of magnitude cheaper per row (cf. "
                             "Figure 18's error reduction)"
                           : "row at a time");
-  checker.CheckFinal(result->trace.final_snapshot);
+  checker.CheckFinal(result->trace.final_snapshot, &workspace);
   if (!checker.report().ok()) {
     std::fprintf(stderr, "%s", checker.report().ToString().c_str());
     return false;

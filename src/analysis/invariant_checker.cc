@@ -10,6 +10,17 @@ namespace lqs {
 
 namespace {
 
+/// Allowed decrease of query progress between consecutive snapshots when
+/// the refined cardinality vector did NOT change. With N̂ fixed, every
+/// K_i/N̂_i ratio grows under monotone DMV counters, so query progress is
+/// structurally non-decreasing and any drop beyond this numeric allowance
+/// is a genuine estimator bug. When any N̂_i was revised between the two
+/// snapshots the drop is a legitimate revision event — the paper's §5
+/// revision metric *measures* those, and unguarded configurations revise
+/// by 0.5+ in one polling interval — so it is tracked in
+/// max_query_regression() but never reported as a violation.
+constexpr double kQueryRegressionSlack = 0.01;
+
 bool InUnitRange(double v) { return std::isfinite(v) && v >= 0.0 && v <= 1.0; }
 
 /// True when a refined cardinality changed meaningfully between snapshots.
@@ -39,13 +50,6 @@ void ProgressInvariantChecker::Reset() {
   snapshots_checked_ = 0;
 }
 
-ProgressReport ProgressInvariantChecker::EstimateChecked(
-    const ProfileSnapshot& snapshot) {
-  ProgressReport report = estimator_->Estimate(snapshot);
-  CheckReport(snapshot, report);
-  return report;
-}
-
 void ProgressInvariantChecker::EstimateCheckedInto(
     const ProfileSnapshot& snapshot, ProgressEstimator::Workspace* workspace,
     ProgressReport* report) {
@@ -59,7 +63,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
   // Each comparison is false for NaN, so `(v >= 0) & (v <= 1)` rejects NaN
   // and both infinities without calling the classification functions; the
   // detailed per-value diagnosis runs only when something is wrong, which
-  // keeps the always-on checker within a few percent of Estimate() itself.
+  // keeps the always-on checker within a few percent of EstimateInto itself.
   const double q = report.query_progress;
   bool ok = (q >= 0.0) & (q <= 1.0);
   const size_t nodes = report.operator_progress.size();
@@ -89,7 +93,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
   if (prev_time_ms_ >= 0.0 && snapshot.time_ms >= prev_time_ms_) {
     const double regression = prev_query_progress_ - report.query_progress;
     if (regression > max_regression_) max_regression_ = regression;
-    if (regression > options_.query_regression_slack) {
+    if (regression > kQueryRegressionSlack) {
       bool revised = prev_refined_rows_.size() != report.refined_rows.size();
       for (size_t i = 0; !revised && i < report.refined_rows.size(); ++i) {
         revised = CardinalityRevised(prev_refined_rows_[i],
@@ -101,7 +105,7 @@ void ProgressInvariantChecker::CheckReport(const ProfileSnapshot& snapshot,
                             "no cardinality revision, beyond slack %g",
                             prev_query_progress_, report.query_progress,
                             prev_time_ms_, snapshot.time_ms,
-                            options_.query_regression_slack));
+                            kQueryRegressionSlack));
       }
     }
   }
@@ -207,8 +211,10 @@ void ProgressInvariantChecker::CheckBounds(const ProfileSnapshot& snapshot,
 }
 
 void ProgressInvariantChecker::CheckFinal(
-    const ProfileSnapshot& final_snapshot, double min_final_progress) {
-  ProgressReport report = estimator_->Estimate(final_snapshot);
+    const ProfileSnapshot& final_snapshot,
+    ProgressEstimator::Workspace* workspace, double min_final_progress) {
+  ProgressReport report;
+  estimator_->EstimateInto(final_snapshot, workspace, &report);
   const EstimatorOptions& opts = estimator_->options();
   // Exact completion is structurally guaranteed only for the weighted
   // pipeline aggregate: a finished pipeline root forces alpha = 1, so the

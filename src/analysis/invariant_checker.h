@@ -15,16 +15,6 @@ namespace lqs {
 /// leave on wherever snapshots are replayed (see bench/overhead_benchmark):
 /// every per-snapshot check is O(nodes) over the already-computed report.
 struct InvariantCheckerOptions {
-  /// Allowed decrease of query progress between consecutive snapshots when
-  /// the refined cardinality vector did NOT change. With N̂ fixed, every
-  /// K_i/N̂_i ratio grows under monotone DMV counters, so query progress is
-  /// structurally non-decreasing and any drop beyond this numeric allowance
-  /// is a genuine estimator bug. When any N̂_i was revised between the two
-  /// snapshots the drop is a legitimate revision event — the paper's §5
-  /// revision metric *measures* those, and unguarded configurations revise
-  /// by 0.5+ in one polling interval — so it is tracked in
-  /// max_query_regression() but never reported as a violation.
-  double query_regression_slack = 0.01;
   /// Recompute the Appendix A bounds per snapshot and cross-check them
   /// against the report (lower <= upper, Clamp idempotence, refined rows
   /// within bounds). Roughly doubles checker cost — intended for tests and
@@ -56,29 +46,28 @@ class ProgressInvariantChecker {
   explicit ProgressInvariantChecker(const ProgressEstimator* estimator,
                                     InvariantCheckerOptions options = {});
 
-  /// Runs the wrapped estimator on `snapshot` and checks the result.
-  /// Snapshots must be fed in non-decreasing time order for the
-  /// monotonicity check to be meaningful.
-  ProgressReport EstimateChecked(const ProfileSnapshot& snapshot);
-
-  /// Allocation-free form of EstimateChecked: estimates into `*report`
-  /// through the estimator's workspace-reusing path, then checks it. The
-  /// workspace follows the ProgressEstimator::Workspace contract (one per
-  /// estimator per thread); the checker itself stays allocation-free on the
-  /// happy path — issue diagnostics allocate only when a violation is found.
+  /// Estimates `snapshot` into `*report` through the wrapped estimator,
+  /// then checks the result. The workspace follows the
+  /// ProgressEstimator::Workspace contract (one per estimator per thread);
+  /// the checker itself stays allocation-free on the happy path — issue
+  /// diagnostics allocate only when a violation is found. Snapshots must be
+  /// fed in non-decreasing time order for the monotonicity check to be
+  /// meaningful.
   void EstimateCheckedInto(const ProfileSnapshot& snapshot,
                            ProgressEstimator::Workspace* workspace,
                            ProgressReport* report);
 
   /// Checks an externally produced report (e.g. when the caller already
-  /// paid for Estimate) without re-running the estimator.
+  /// paid for EstimateInto) without re-running the estimator.
   void CheckReport(const ProfileSnapshot& snapshot,
                    const ProgressReport& report);
 
   /// End-of-stream checks on the final snapshot: the full LQS configuration
   /// (driver nodes + refinement + bounding) must report exactly 1.0; every
-  /// configuration must report a sane completion value.
+  /// configuration must report a sane completion value. The final snapshot
+  /// is estimated with `*workspace` (Workspace contract as above).
   void CheckFinal(const ProfileSnapshot& final_snapshot,
+                  ProgressEstimator::Workspace* workspace,
                   double min_final_progress = 0.0);
 
   const ValidationReport& report() const { return report_; }

@@ -677,17 +677,6 @@ void ProgressEstimator::PipelineWeightsInto(const std::vector<double>& n_hat,
   }
 }
 
-ProgressReport ProgressEstimator::Estimate(
-    const ProfileSnapshot& snapshot) const {
-  // The internal workspace binds on the first call and is reused after, so
-  // repeated one-shot calls allocate only for the returned report. This is
-  // the single-owner consequence documented in the header: concurrent
-  // Estimate() on a shared estimator would race on estimate_workspace_.
-  ProgressReport report;
-  EstimateInto(snapshot, &estimate_workspace_, &report);
-  return report;
-}
-
 void ProgressEstimator::EstimateInto(const ProfileSnapshot& snapshot,
                                      Workspace* workspace,
                                      ProgressReport* report) const {

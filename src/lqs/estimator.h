@@ -134,13 +134,14 @@ class ProgressEstimator {
   ///    passed back to that estimator; reuse against a different estimator
   ///    (and hence a possibly different plan shape) aborts with a
   ///    diagnostic rather than silently mixing plans.
-  ///  - a Workspace is mutable per-call state. Concurrent EstimateInto
+  ///  - a Workspace is per-caller scratch. Concurrent EstimateInto
   ///    calls on one shared const estimator are safe exactly when each
   ///    caller passes its own workspace (this is how MonitorService uses
   ///    one cached estimator across parallel sessions).
   ///  - every frozen entry is validated against the CURRENT snapshot's
   ///    `finished` flags before reuse, so snapshots may still be replayed
-  ///    in any order, exactly like the stateless Estimate().
+  ///    in any order, and a reused workspace yields the same reports as a
+  ///    fresh one.
   struct Workspace {
     /// Observability counters (cumulative since construction).
     struct Stats {
@@ -189,24 +190,11 @@ class ProgressEstimator {
   ProgressEstimator(const Plan* plan, const Catalog* catalog,
                     EstimatorOptions options);
 
-  /// Computes query and operator progress from one DMV snapshot. Output is
-  /// stateless (all estimation state is in the snapshot), so snapshots may
-  /// be replayed in any order. Thin compatibility wrapper over EstimateInto
-  /// against a lazily-initialized internal Workspace, so one-shot callers
-  /// stay off the hot-path allocation counter instead of constructing
-  /// scratch per call.
-  ///
-  /// Single-owner consequence: because the internal workspace is shared by
-  /// every Estimate() call on this estimator, concurrent Estimate() calls
-  /// on one shared estimator are NOT safe. Concurrent callers must each
-  /// hold their own Workspace and use EstimateInto — exactly how
-  /// MonitorService shares one cached estimator across parallel sessions.
-  ProgressReport Estimate(const ProfileSnapshot& snapshot) const;
-
-  /// Allocation-free form of Estimate: writes the report into `*report`
-  /// (vectors are re-sized in place, reusing capacity) using `*workspace`
-  /// for all intermediate state. Produces bit-identical reports to
-  /// Estimate() for any snapshot order; see the Workspace contract above.
+  /// Computes query and operator progress from one DMV snapshot into
+  /// `*report` (vectors are re-sized in place, reusing capacity), using
+  /// `*workspace` for all intermediate state. The report depends only on
+  /// the snapshot, so snapshots may be replayed in any order; see the
+  /// Workspace contract above.
   /// LQS_NOALLOC: steady-state calls must stay heap-free — statically
   /// checked by tools/lqs_verify (noalloc), dynamically by
   /// tests/estimator_alloc_test.cc. LQS_DETERMINISTIC: the same snapshot
@@ -298,11 +286,6 @@ class ProgressEstimator {
   EstimatorOptions options_;
   PlanAnalysis analysis_;
   const CostFeedback* feedback_ = nullptr;
-  /// Scratch behind the Estimate() compatibility wrapper, sized lazily on
-  /// its first call. This is what makes concurrent Estimate() on a shared
-  /// estimator unsafe (see the wrapper's contract above); EstimateInto
-  /// never touches it.
-  mutable Workspace estimate_workspace_;
 };
 
 }  // namespace lqs

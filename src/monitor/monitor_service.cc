@@ -384,7 +384,10 @@ ValidationReport MonitorService::FinalCheck() {
                      ")");
     }
     if (session.checker == nullptr || final_snapshot == nullptr) continue;
-    session.checker->CheckFinal(*final_snapshot);
+    // A fresh workspace, not the session's: the final estimate must leave
+    // the session's report and the published workspace counters untouched.
+    ProgressEstimator::Workspace workspace;
+    session.checker->CheckFinal(*final_snapshot, &workspace);
     for (const ValidationIssue& issue : session.checker->report().issues()) {
       merged.Add(issue.check, issue.node_id, issue.pipeline_id,
                  session.name + ": " + issue.detail);

@@ -32,14 +32,13 @@ uint64_t Avalanche(uint64_t h) {
 
 }  // namespace
 
-SessionRouter::SessionRouter(int num_shards, int virtual_nodes)
-    : num_shards_(std::max(1, num_shards)),
-      virtual_nodes_(std::max(1, virtual_nodes)) {
+SessionRouter::SessionRouter(int num_shards)
+    : num_shards_(std::max(1, num_shards)) {
   ring_.reserve(static_cast<size_t>(num_shards_) *
-                static_cast<size_t>(virtual_nodes_));
+                static_cast<size_t>(kVirtualNodes));
   std::string point_key;
   for (int shard = 0; shard < num_shards_; ++shard) {
-    for (int v = 0; v < virtual_nodes_; ++v) {
+    for (int v = 0; v < kVirtualNodes; ++v) {
       point_key.clear();
       point_key += "shard-";
       point_key += std::to_string(shard);

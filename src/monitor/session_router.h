@@ -9,7 +9,7 @@ namespace lqs {
 
 /// Consistent session → shard hashing for the sharded monitor.
 ///
-/// Each shard contributes `virtual_nodes` points to a 64-bit hash ring; a
+/// Each shard contributes kVirtualNodes points to a 64-bit hash ring; a
 /// session key routes to the shard owning the first ring point at or after
 /// the key's hash (wrapping). Two properties the plain `hash % N` scheme
 /// lacks:
@@ -19,7 +19,7 @@ namespace lqs {
 ///    instead of nearly all keys. A fleet monitor resharding under load
 ///    must not stampede every session's state to a new home at once.
 ///  - *Balance*: virtual nodes smooth the variance of random ring
-///    placement; with the default 64 per shard the heaviest shard carries
+///    placement; with 64 per shard the heaviest shard carries
 ///    within a few percent of the mean at thousand-session scale
 ///    (tests/sharded_monitor_test.cc pins this).
 ///
@@ -36,13 +36,15 @@ namespace lqs {
 /// annotations never mention this class.
 class SessionRouter {
  public:
-  explicit SessionRouter(int num_shards, int virtual_nodes = 64);
+  /// Ring points per shard.
+  static constexpr int kVirtualNodes = 64;
+
+  explicit SessionRouter(int num_shards);
 
   /// Shard in [0, num_shards) owning `session_key`.
   int ShardFor(std::string_view session_key) const;
 
   int num_shards() const { return num_shards_; }
-  int virtual_nodes() const { return virtual_nodes_; }
 
   /// FNV-1a 64-bit hash of `bytes` (exposed for tests).
   static uint64_t Fnv1a(std::string_view bytes);
@@ -54,7 +56,6 @@ class SessionRouter {
   };
 
   const int num_shards_;
-  const int virtual_nodes_;
   std::vector<RingPoint> ring_;  // sorted by hash; frozen after the ctor
 };
 

@@ -7,8 +7,7 @@
 namespace lqs {
 
 ShardedMonitor::ShardedMonitor(ShardedMonitorOptions options)
-    : options_(options),
-      router_(options.num_shards, options.virtual_nodes) {
+    : options_(options), router_(options.num_shards) {
   shards_.resize(static_cast<size_t>(router_.num_shards()));
   for (Shard& shard : shards_) {
     shard.service = std::make_unique<MonitorService>(options_.shard_options);

@@ -19,8 +19,6 @@ namespace lqs {
 struct ShardedMonitorOptions {
   /// Number of MonitorService instances (each with its own ThreadPool).
   int num_shards = 4;
-  /// Virtual ring nodes per shard (see SessionRouter).
-  int virtual_nodes = 64;
   /// Options applied to every shard's MonitorService.
   MonitorOptions shard_options;
   /// Real-time budget for one shard tick, in wall-clock ms. When > 0,

@@ -47,11 +47,6 @@ class WireWriter {
     }
   }
 
-  void PutString(const std::string& s) {
-    PutVarint(s.size());
-    out_->append(s);
-  }
-
   /// Compact encoding of an XOR of two IEEE-754 bit patterns: one prefix
   /// byte packing (trailing-zero-byte count << 4 | significant-byte count),
   /// then the significant bytes little-endian. Clock-like doubles differ in
@@ -132,15 +127,6 @@ class WireReader {
     }
     pos_ += 8;
     std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-
-  Status GetString(std::string* out) {
-    uint64_t size;
-    LQS_RETURN_IF_ERROR(GetVarint(&size));
-    if (size > remaining()) return Truncated("string body");
-    out->assign(data_.substr(pos_, size));
-    pos_ += size;
     return Status::OK();
   }
 
@@ -266,7 +252,7 @@ StatusOr<std::string_view> CheckFrame(std::string_view frame, WireType want) {
 }
 
 // ---------------------------------------------------------------------------
-// Message bodies. Bodies are headerless so composites (trace, poll response)
+// Message bodies. Bodies are headerless so composites (the poll response)
 // can embed them; the public Encode*/Decode* wrap exactly one body per
 // frame.
 // ---------------------------------------------------------------------------
@@ -576,59 +562,11 @@ uint32_t WireCrc32(const void* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-PlanSummary PlanSummary::FromPlan(const Plan& plan) {
-  PlanSummary summary;
-  summary.nodes.resize(static_cast<size_t>(plan.size()));
-  plan.root->Visit([&summary](const PlanNode& node) {
-    PlanSummaryNode& out = summary.nodes[static_cast<size_t>(node.id)];
-    out.node_id = node.id;
-    out.op_type = node.type;
-    out.est_rows = node.est_rows;
-    out.est_cpu_ms = node.est_cpu_ms;
-    out.est_io_ms = node.est_io_ms;
-    out.est_rebinds = node.est_rebinds;
-    out.table_name = node.table_name;
-    for (const auto& child : node.children) {
-      summary.nodes[static_cast<size_t>(child->id)].parent_node_id = node.id;
-    }
-  });
-  return summary;
-}
-
 void EncodeSnapshot(const ProfileSnapshot& snapshot, std::string* out) {
   const size_t header_at = StartFrame(out);
   WireWriter w(out);
   PutSnapshotBody(&w, snapshot);
   FinishFrame(out, header_at, WireType::kSnapshot);
-}
-
-void EncodeTrace(const ProfileTrace& trace, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  w.PutVarint(trace.snapshots.size());
-  for (const ProfileSnapshot& snapshot : trace.snapshots) {
-    PutSnapshotBody(&w, snapshot);
-  }
-  PutSnapshotBody(&w, trace.final_snapshot);
-  w.PutDouble(trace.total_elapsed_ms);
-  FinishFrame(out, header_at, WireType::kTrace);
-}
-
-void EncodePlanSummary(const PlanSummary& summary, std::string* out) {
-  const size_t header_at = StartFrame(out);
-  WireWriter w(out);
-  w.PutVarint(summary.nodes.size());
-  for (const PlanSummaryNode& node : summary.nodes) {
-    w.PutZigzag(node.node_id);
-    w.PutZigzag(node.parent_node_id);
-    w.PutVarint(static_cast<uint64_t>(node.op_type));
-    w.PutDouble(node.est_rows);
-    w.PutDouble(node.est_cpu_ms);
-    w.PutDouble(node.est_io_ms);
-    w.PutDouble(node.est_rebinds);
-    w.PutString(node.table_name);
-  }
-  FinishFrame(out, header_at, WireType::kPlanSummary);
 }
 
 void EncodePollResponse(const PollResponse& response, std::string* out) {
@@ -858,12 +796,14 @@ StatusOr<size_t> WireFrameSize(std::string_view buffer) {
 StatusOr<WireType> WireFrameType(std::string_view frame) {
   LQS_RETURN_IF_ERROR(WireFrameSize(frame).status());
   const uint8_t type = static_cast<uint8_t>(frame[3]);
-  if (type < static_cast<uint8_t>(WireType::kPlanSummary) ||
-      type > static_cast<uint8_t>(WireType::kSnapshotDelta)) {
-    return Status::InvalidArgument(
-        StringF("wire: unknown message type %u", type));
+  switch (static_cast<WireType>(type)) {
+    case WireType::kSnapshot:
+    case WireType::kPollResponse:
+    case WireType::kSnapshotDelta:
+      return static_cast<WireType>(type);
   }
-  return static_cast<WireType>(type);
+  return Status::InvalidArgument(
+      StringF("wire: unknown message type %u", type));
 }
 
 StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame) {
@@ -874,69 +814,6 @@ StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame) {
   LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &snapshot));
   LQS_RETURN_IF_ERROR(RequireExhausted(r));
   return snapshot;
-}
-
-StatusOr<ProfileTrace> DecodeTrace(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kTrace));
-  WireReader r(payload);
-  ProfileTrace trace;
-  uint64_t count;
-  LQS_RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::OutOfRange(
-        StringF("wire: trace declares %llu snapshots, %zu bytes left",
-                static_cast<unsigned long long>(count), r.remaining()));
-  }
-  trace.snapshots.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ProfileSnapshot snapshot;
-    LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &snapshot));
-    trace.snapshots.push_back(std::move(snapshot));
-  }
-  LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &trace.final_snapshot));
-  LQS_RETURN_IF_ERROR(r.GetDouble(&trace.total_elapsed_ms));
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return trace;
-}
-
-StatusOr<PlanSummary> DecodePlanSummary(std::string_view frame) {
-  std::string_view payload;
-  LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kPlanSummary));
-  WireReader r(payload);
-  PlanSummary summary;
-  uint64_t count;
-  LQS_RETURN_IF_ERROR(r.GetVarint(&count));
-  if (count > r.remaining()) {
-    return Status::OutOfRange(
-        StringF("wire: plan summary declares %llu nodes, %zu bytes left",
-                static_cast<unsigned long long>(count), r.remaining()));
-  }
-  summary.nodes.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PlanSummaryNode node;
-    int64_t node_id, parent_node_id;
-    LQS_RETURN_IF_ERROR(r.GetZigzag(&node_id));
-    LQS_RETURN_IF_ERROR(r.GetZigzag(&parent_node_id));
-    node.node_id = static_cast<int>(node_id);
-    node.parent_node_id = static_cast<int>(parent_node_id);
-    uint64_t op_type;
-    LQS_RETURN_IF_ERROR(r.GetVarint(&op_type));
-    if (op_type >= static_cast<uint64_t>(OpType::kNumOpTypes)) {
-      return Status::InvalidArgument(
-          StringF("wire: operator type %llu out of range",
-                  static_cast<unsigned long long>(op_type)));
-    }
-    node.op_type = static_cast<OpType>(op_type);
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_rows));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_cpu_ms));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_io_ms));
-    LQS_RETURN_IF_ERROR(r.GetDouble(&node.est_rebinds));
-    LQS_RETURN_IF_ERROR(r.GetString(&node.table_name));
-    summary.nodes.push_back(std::move(node));
-  }
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
-  return summary;
 }
 
 StatusOr<PollResponse> DecodePollResponse(std::string_view frame) {

@@ -9,7 +9,6 @@
 #include "common/deterministic.h"
 #include "common/statusor.h"
 #include "dmv/query_profile.h"
-#include "exec/plan.h"
 
 namespace lqs {
 
@@ -45,38 +44,17 @@ inline constexpr size_t kWireHeaderSize = 12;
 inline constexpr char kWireMagic0 = 'L';
 inline constexpr char kWireMagic1 = 'Q';
 
-/// Message type carried in the frame header.
+/// Message type carried in the frame header. Values 1 and 3 belonged to
+/// retired message types (a plan digest and a whole-trace frame); they stay
+/// reserved, and unknown, so that no old frame is ever read as a new type.
 enum class WireType : uint8_t {
-  kPlanSummary = 1,
   kSnapshot = 2,
-  kTrace = 3,
   kPollResponse = 4,
   kSnapshotDelta = 5,
 };
 
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `size` bytes.
 uint32_t WireCrc32(const void* data, size_t size);
-
-/// The showplan digest a remote monitor needs to label what it renders:
-/// tree shape plus the optimizer annotations the estimator consumes (§2.2).
-/// Expression payloads deliberately stay server-side.
-struct PlanSummaryNode {
-  int node_id = -1;
-  int parent_node_id = -1;
-  OpType op_type = OpType::kTableScan;
-  double est_rows = 0;
-  double est_cpu_ms = 0;
-  double est_io_ms = 0;
-  double est_rebinds = 0;
-  std::string table_name;
-};
-
-struct PlanSummary {
-  std::vector<PlanSummaryNode> nodes;  // pre-order, indexed by node_id
-
-  /// Digests a finalized plan (ids dense pre-order, FinalizePlan contract).
-  static PlanSummary FromPlan(const Plan& plan);
-};
 
 /// Per-field presence bits of one OperatorDelta. A set bit means the frame
 /// carries that field; clear means "unchanged from the base operator".
@@ -182,10 +160,6 @@ struct PollResponse {
 LQS_DETERMINISTIC
 void EncodeSnapshot(const ProfileSnapshot& snapshot, std::string* out);
 LQS_DETERMINISTIC
-void EncodeTrace(const ProfileTrace& trace, std::string* out);
-LQS_DETERMINISTIC
-void EncodePlanSummary(const PlanSummary& summary, std::string* out);
-LQS_DETERMINISTIC
 void EncodePollResponse(const PollResponse& response, std::string* out);
 LQS_DETERMINISTIC
 void EncodeSnapshotDelta(const SnapshotDelta& delta, std::string* out);
@@ -196,6 +170,7 @@ void EncodeSnapshotDelta(const SnapshotDelta& delta, std::string* out);
 StatusOr<size_t> WireFrameSize(std::string_view buffer);
 
 /// Message type of a frame whose header is intact (payload not inspected).
+/// Fails with kInvalidArgument on any type byte that is not a WireType.
 StatusOr<WireType> WireFrameType(std::string_view frame);
 
 /// Decoders require `frame` to be exactly one well-formed frame of the
@@ -204,10 +179,6 @@ StatusOr<WireType> WireFrameType(std::string_view frame);
 /// the exact Status on malformed input).
 LQS_DETERMINISTIC
 StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame);
-LQS_DETERMINISTIC
-StatusOr<ProfileTrace> DecodeTrace(std::string_view frame);
-LQS_DETERMINISTIC
-StatusOr<PlanSummary> DecodePlanSummary(std::string_view frame);
 LQS_DETERMINISTIC
 StatusOr<PollResponse> DecodePollResponse(std::string_view frame);
 LQS_DETERMINISTIC

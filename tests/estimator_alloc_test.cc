@@ -341,26 +341,27 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
 }
 
 TEST_F(EstimatorAllocTest, FreshEstimateAllocatesAsExpected) {
-  // Sanity check on the instrument itself: the compatibility wrapper sizes
-  // its lazily-initialized internal workspace on the first call and returns
-  // a report by value, so the first call MUST allocate. If this ever reads
-  // zero the counting overrides are not linked in and the zero-allocation
-  // tests above are vacuous.
+  // Sanity check on the instrument itself: the first EstimateInto against a
+  // fresh workspace and report sizes both, so it MUST allocate. If this ever
+  // reads zero the counting overrides are not linked in and the
+  // zero-allocation tests above are vacuous.
   Plan plan = Annotated(Sort(Scan("t_big"), {2}));
   auto result = MustExecute(plan, catalog_.get());
   ProgressEstimator estimator(&plan, catalog_.get(), EstimatorOptions::Lqs());
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
 
   AllocationWindow window;
-  ProgressReport report = estimator.Estimate(result.trace.final_snapshot);
+  estimator.EstimateInto(result.trace.final_snapshot, &workspace, &report);
   EXPECT_GT(window.count(), 0u);
   EXPECT_GT(report.query_progress, 0.99);
-  // Repeat calls reuse the internal workspace: the only remaining per-call
-  // cost is the by-value report (its vectors), a small constant — the
-  // wrapper must stay off the per-call workspace-construction price.
+  // A repeat call reusing the workspace and report keeps their sized
+  // buffers, so it must cost less than the first call's sizing.
   const uint64_t first_call = window.count();
-  ProgressReport again = estimator.Estimate(result.trace.final_snapshot);
+  const double first_progress = report.query_progress;
+  estimator.EstimateInto(result.trace.final_snapshot, &workspace, &report);
   EXPECT_LT(window.count() - first_call, first_call);
-  EXPECT_EQ(again.query_progress, report.query_progress);
+  EXPECT_EQ(report.query_progress, first_progress);
 }
 
 }  // namespace

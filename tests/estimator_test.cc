@@ -48,7 +48,7 @@ TEST_F(EstimatorTest, ProgressWithinBoundsAndIncreasesOverall) {
   double first = -1;
   double last = -1;
   for (const auto& snap : result.trace.snapshots) {
-    ProgressReport r = est.Estimate(snap);
+    ProgressReport r = EstimateFresh(est, snap);
     EXPECT_GE(r.query_progress, 0.0);
     EXPECT_LE(r.query_progress, 1.0);
     for (double p : r.operator_progress) {
@@ -66,7 +66,7 @@ TEST_F(EstimatorTest, FinishedQueryReportsFullProgress) {
   Plan plan = Annotated(Sort(Scan("t_big"), {2}));
   auto result = Run(plan);
   ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
-  ProgressReport r = est.Estimate(result.trace.final_snapshot);
+  ProgressReport r = EstimateFresh(est, result.trace.final_snapshot);
   EXPECT_NEAR(r.query_progress, 1.0, 1e-6);
   for (double p : r.operator_progress) EXPECT_NEAR(p, 1.0, 1e-6);
 }
@@ -76,7 +76,7 @@ TEST_F(EstimatorTest, NotStartedReportsZero) {
   ProfileSnapshot empty;
   empty.operators.resize(static_cast<size_t>(plan.size()));
   ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
-  ProgressReport r = est.Estimate(empty);
+  ProgressReport r = EstimateFresh(est, empty);
   EXPECT_DOUBLE_EQ(r.query_progress, 0.0);
 }
 
@@ -99,7 +99,7 @@ TEST_F(EstimatorTest, RefinementConvergesToTrueCardinality) {
   const auto& snaps = result.trace.snapshots;
   ASSERT_GT(snaps.size(), 4u);
   const auto& late = snaps[snaps.size() * 3 / 4];
-  ProgressReport r = est.Estimate(late);
+  ProgressReport r = EstimateFresh(est, late);
   EXPECT_NEAR(r.refined_rows[0], n_true, 0.25 * n_true)
       << "optimizer estimate was " << plan.node(0).est_rows;
 }
@@ -117,7 +117,7 @@ TEST_F(EstimatorTest, RefinementGuardsHoldBackEarly) {
   snap.operators[1].opened = true;
   snap.operators[1].row_count = 10;
   snap.operators[1].logical_read_count = 1;
-  ProgressReport r = est.Estimate(snap);
+  ProgressReport r = EstimateFresh(est, snap);
   // k/alpha would be 2 / (10/5000) = 1000; the guard keeps the estimate at
   // the optimizer value (clamped by bounds).
   EXPECT_NE(r.refined_rows[0], 1000.0);
@@ -165,14 +165,14 @@ TEST_F(EstimatorTest, StoragePredicateUsesIoFraction) {
   p.total_pages = 40;
   p.logical_read_count = 10;
   p.row_count = 3;  // tiny output so far — misleading for k/N
-  ProgressReport r = est.Estimate(snap);
+  ProgressReport r = EstimateFresh(est, snap);
   EXPECT_NEAR(r.operator_progress[0], 0.25, 1e-9);
 
   // With the feature disabled, the report falls back to k/N̂.
   EstimatorOptions no_io = EstimatorOptions::Lqs();
   no_io.storage_predicate_io = false;
   ProgressEstimator est2(&plan, catalog_.get(), no_io);
-  ProgressReport r2 = est2.Estimate(snap);
+  ProgressReport r2 = EstimateFresh(est2, snap);
   EXPECT_NE(r2.operator_progress[0], r.operator_progress[0]);
 }
 
@@ -186,7 +186,7 @@ TEST_F(EstimatorTest, BatchModeUsesSegmentFraction) {
   p.segment_total_count = 2;
   p.segment_read_count = 1;
   p.row_count = 4096;
-  ProgressReport r = est.Estimate(snap);
+  ProgressReport r = EstimateFresh(est, snap);
   EXPECT_NEAR(r.operator_progress[0], 0.5, 1e-9);
 }
 
@@ -207,8 +207,8 @@ TEST_F(EstimatorTest, TwoPhaseBlockingShowsProgressDuringInput) {
   for (const auto& snap : result.trace.snapshots) {
     if (snap.operators[0].row_count == 0 &&
         snap.operators[1].row_count > 2000) {
-      ProgressReport two = est_two.Estimate(snap);
-      ProgressReport out = est_out.Estimate(snap);
+      ProgressReport two = EstimateFresh(est_two, snap);
+      ProgressReport out = EstimateFresh(est_out, snap);
       EXPECT_GT(two.operator_progress[0], 0.3);
       EXPECT_LT(out.operator_progress[0], 0.05);
       found = true;
@@ -260,7 +260,7 @@ TEST_F(EstimatorTest, InnerSideRefinementScalesByExecutions) {
     const auto& outer = snap.operators[1];
     if (outer.finished && inner.rebind_count > 40 &&
         inner.row_count < n_true * 0.8) {
-      ProgressReport r = est.Estimate(snap);
+      ProgressReport r = EstimateFresh(est, snap);
       EXPECT_NEAR(r.refined_rows[2], n_true, 0.3 * n_true);
       checked = true;
       break;

@@ -1,8 +1,8 @@
 // Golden equivalence of the workspace-reusing estimation engine: for every
 // §5 preset, over executed TPC-H and TPC-DS traces, EstimateInto with a
-// reused Workspace must produce reports bit-identical (exact doubles) to the
-// stateless Estimate(), in forward AND out-of-order replay, with the
-// incremental short-circuits on or off. Plus the freeze regressions: bounds
+// reused Workspace must produce reports bit-identical (exact doubles) to
+// EstimateInto with a fresh Workspace per snapshot, in forward AND
+// out-of-order replay, with the incremental short-circuits on or off. Plus the freeze regressions: bounds
 // are not re-derived for finished operators, and the alpha/weight freezes
 // actually engage on real traces.
 
@@ -131,7 +131,7 @@ class EstimatorWorkspaceTest : public ::testing::Test {
     ProgressEstimator::Workspace workspace;
     ProgressReport reused;
     auto check = [&](const ProfileSnapshot& snap, size_t label) {
-      const ProgressReport fresh = estimator.Estimate(snap);
+      const ProgressReport fresh = EstimateFresh(estimator, snap);
       estimator.EstimateInto(snap, &workspace, &reused);
       ExpectReportsIdentical(
           fresh, reused, context + " snapshot#" + std::to_string(label));

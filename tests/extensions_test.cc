@@ -1,13 +1,8 @@
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "gtest/gtest.h"
 
 #include "lqs/estimator.h"
 #include "lqs/feedback.h"
 #include "lqs/metrics.h"
-#include "lqs/trace_csv.h"
 #include "optimizer/annotate.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
@@ -71,9 +66,9 @@ TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
   on.propagate_refinement = true;
   ProgressEstimator est_off(&plan, catalog_.get(), off);
   ProgressEstimator est_on(&plan, catalog_.get(), on);
-  double filter_refined = est_on.Estimate(*mid).refined_rows[2];
-  double agg_off = est_off.Estimate(*mid).refined_rows[1];
-  double agg_on = est_on.Estimate(*mid).refined_rows[1];
+  double filter_refined = EstimateFresh(est_on, *mid).refined_rows[2];
+  double agg_off = EstimateFresh(est_off, *mid).refined_rows[1];
+  double agg_on = EstimateFresh(est_on, *mid).refined_rows[1];
   // The filter's refinement (~500) must pull the aggregate estimate down
   // when propagation is on; without it the aggregate keeps its scaled
   // showplan estimate derived from 10000 input rows.
@@ -121,7 +116,7 @@ TEST_F(ExtensionsTest, FeedbackPlugsIntoEstimator) {
   est.SetCostFeedback(&feedback);
   // Estimation still well-formed with feedback applied.
   for (const auto& snap : result.trace.snapshots) {
-    ProgressReport r = est.Estimate(snap);
+    ProgressReport r = EstimateFresh(est, snap);
     EXPECT_GE(r.query_progress, 0.0);
     EXPECT_LE(r.query_progress, 1.0);
   }
@@ -139,62 +134,6 @@ TEST_F(ExtensionsTest, FeedbackSmoothingLimitsEarlyInfluence) {
   double m = feedback.Multiplier(OpType::kTableScan);
   EXPECT_GT(m, 1.0);
   EXPECT_LE(m, 10.0);
-}
-
-// ---------------------------------------------------------------------------
-// CSV export
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, TraceCsvRoundTrips) {
-  Plan plan = Annotated(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)));
-  auto result = Run(plan);
-  const std::string path = ::testing::TempDir() + "/trace.csv";
-  ASSERT_OK(WriteTraceCsv(plan, result.trace, path));
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("time_ms,node_id,operator,row_count"),
-            std::string::npos);
-  int lines = 0;
-  std::string line;
-  while (std::getline(in, line)) lines++;
-  // (snapshots + final) x 2 operators.
-  EXPECT_EQ(lines, static_cast<int>((result.trace.snapshots.size() + 1) * 2));
-}
-
-TEST_F(ExtensionsTest, ProgressCsvHasPerOperatorColumns) {
-  Plan plan = Annotated(Sort(Scan("t_big"), {2}));
-  auto result = Run(plan);
-  const std::string path = ::testing::TempDir() + "/progress.csv";
-  ASSERT_OK(WriteProgressCsv(plan, *catalog_, result.trace,
-                             EstimatorOptions::Lqs(), path));
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_NE(header.find("op_0"), std::string::npos);
-  EXPECT_NE(header.find("op_1"), std::string::npos);
-  int lines = 0;
-  std::string line;
-  double last_estimate = -1;
-  while (std::getline(in, line)) {
-    lines++;
-    // estimated column is 3rd field.
-    std::stringstream ss(line);
-    std::string field;
-    for (int i = 0; i < 3; ++i) std::getline(ss, field, ',');
-    last_estimate = std::stod(field);
-  }
-  EXPECT_EQ(lines, static_cast<int>(result.trace.snapshots.size()));
-  EXPECT_GT(last_estimate, 0.5);
-}
-
-TEST_F(ExtensionsTest, CsvRejectsBadPath) {
-  Plan plan = Annotated(Scan("t_small"));
-  auto result = Run(plan);
-  EXPECT_FALSE(
-      WriteTraceCsv(plan, result.trace, "/nonexistent_dir/x.csv").ok());
 }
 
 }  // namespace

@@ -99,10 +99,12 @@ TEST_F(InvariantsTest, ReplayUnderAllPresetsIsViolationFree) {
         InvariantCheckerOptions copts;
         copts.deep_bounds_check = true;
         ProgressInvariantChecker checker(&estimator, copts);
+        ProgressEstimator::Workspace workspace;
+        ProgressReport report;
         for (const auto& snap : ew.runs[qi].trace.snapshots) {
-          checker.EstimateChecked(snap);
+          checker.EstimateCheckedInto(snap, &workspace, &report);
         }
-        checker.CheckFinal(ew.runs[qi].trace.final_snapshot,
+        checker.CheckFinal(ew.runs[qi].trace.final_snapshot, &workspace,
                            /*min_final_progress=*/0.3);
         ASSERT_TRUE(checker.report().ok())
             << ew.workload.name << "/" << q.name << " under " << preset.name
@@ -186,7 +188,7 @@ TEST_F(ValidatorNegativeTest, DetectsOutOfRangeProgress) {
   ProgressInvariantChecker checker(&estimator);
   ProfileSnapshot snap;
   snap.operators.resize(1);
-  ProgressReport bogus = estimator.Estimate(snap);
+  ProgressReport bogus = EstimateFresh(estimator, snap);
   bogus.query_progress = 1.5;
   bogus.operator_progress[0] = -0.25;
   checker.CheckReport(snap, bogus);
@@ -203,7 +205,7 @@ TEST_F(ValidatorNegativeTest, DetectsProgressRegression) {
   ProgressInvariantChecker checker(&estimator);
   ProfileSnapshot snap;
   snap.operators.resize(1);
-  ProgressReport earlier = estimator.Estimate(snap);
+  ProgressReport earlier = EstimateFresh(estimator, snap);
   earlier.query_progress = 0.9;
   snap.time_ms = 1.0;
   checker.CheckReport(snap, earlier);

@@ -203,13 +203,16 @@ TEST_F(ProfilerTest, EstimateReplayIsOrderIndependent) {
   ASSERT_GT(result.trace.snapshots.size(), 3u);
   ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
 
-  std::vector<ProgressReport> forward;
-  forward.reserve(result.trace.snapshots.size());
-  for (const auto& snap : result.trace.snapshots) {
-    forward.push_back(est.Estimate(snap));
+  // One workspace across both passes: its cross-call caches must not make
+  // the backward replay differ from the forward one.
+  ProgressEstimator::Workspace workspace;
+  std::vector<ProgressReport> forward(result.trace.snapshots.size());
+  for (size_t i = 0; i < result.trace.snapshots.size(); ++i) {
+    est.EstimateInto(result.trace.snapshots[i], &workspace, &forward[i]);
   }
+  ProgressReport replayed;
   for (size_t i = result.trace.snapshots.size(); i-- > 0;) {
-    ProgressReport replayed = est.Estimate(result.trace.snapshots[i]);
+    est.EstimateInto(result.trace.snapshots[i], &workspace, &replayed);
     EXPECT_DOUBLE_EQ(replayed.query_progress, forward[i].query_progress);
     ASSERT_EQ(replayed.operator_progress.size(),
               forward[i].operator_progress.size());

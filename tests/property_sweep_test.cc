@@ -106,8 +106,10 @@ TEST_P(EstimatorMatrixTest, InvariantsHoldOnEveryQuery) {
     // that happen with a stable cardinality vector, so the defaults hold
     // even here.
     ProgressInvariantChecker checker(&estimator);
+    ProgressEstimator::Workspace workspace;
+    ProgressReport r;
     for (const auto& snap : run.trace.snapshots) {
-      ProgressReport r = checker.EstimateChecked(snap);
+      checker.EstimateCheckedInto(snap, &workspace, &r);
       ASSERT_TRUE(std::isfinite(r.query_progress))
           << config.name << "/" << q.name;
       ASSERT_GE(r.query_progress, 0.0) << config.name << "/" << q.name;
@@ -130,7 +132,8 @@ TEST_P(EstimatorMatrixTest, InvariantsHoldOnEveryQuery) {
     // raw-estimate configurations may stick below it (the paper's Figure 4
     // shows estimates pinned at 99% when cardinalities are wrong), but no
     // configuration may be wildly off at completion.
-    ProgressReport done = estimator.Estimate(run.trace.final_snapshot);
+    ProgressReport done;
+    estimator.EstimateInto(run.trace.final_snapshot, &workspace, &done);
     if (std::string(config.name) == "lqs") {
       ASSERT_NEAR(done.query_progress, 1.0, 1e-6)
           << config.name << "/" << q.name;

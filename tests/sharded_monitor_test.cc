@@ -49,8 +49,8 @@ using namespace pb;  // NOLINT
 std::string Key(int i) { return "session-" + std::to_string(i); }
 
 TEST(SessionRouterTest, DeterministicAcrossInstances) {
-  SessionRouter a(8, 64);
-  SessionRouter b(8, 64);
+  SessionRouter a(8);
+  SessionRouter b(8);
   for (int i = 0; i < 1000; ++i) {
     const int shard = a.ShardFor(Key(i));
     EXPECT_GE(shard, 0);
@@ -62,7 +62,7 @@ TEST(SessionRouterTest, DeterministicAcrossInstances) {
 TEST(SessionRouterTest, BalancesThousandsOfSessions) {
   constexpr int kShards = 8;
   constexpr int kKeys = 8192;
-  SessionRouter router(kShards, 64);
+  SessionRouter router(kShards);
   std::vector<int> counts(kShards, 0);
   for (int i = 0; i < kKeys; ++i) ++counts[router.ShardFor(Key(i))];
   const double mean = static_cast<double>(kKeys) / kShards;
@@ -78,8 +78,8 @@ TEST(SessionRouterTest, BalancesThousandsOfSessions) {
 
 TEST(SessionRouterTest, AddingAShardOnlyMovesKeysToTheNewShard) {
   constexpr int kKeys = 8192;
-  SessionRouter before(8, 64);
-  SessionRouter after(9, 64);
+  SessionRouter before(8);
+  SessionRouter after(9);
   int moved = 0;
   for (int i = 0; i < kKeys; ++i) {
     const int old_shard = before.ShardFor(Key(i));

@@ -58,5 +58,13 @@ std::vector<Row> MustExecuteRows(const Plan& plan, Catalog* catalog,
   return rows;
 }
 
+ProgressReport EstimateFresh(const ProgressEstimator& estimator,
+                             const ProfileSnapshot& snapshot) {
+  ProgressEstimator::Workspace workspace;
+  ProgressReport report;
+  estimator.EstimateInto(snapshot, &workspace, &report);
+  return report;
+}
+
 }  // namespace testing
 }  // namespace lqs

@@ -10,6 +10,7 @@
 #include "common/statusor.h"
 #include "exec/executor.h"
 #include "exec/plan.h"
+#include "lqs/estimator.h"
 #include "storage/catalog.h"
 #include "workload/plan_builder.h"
 
@@ -46,6 +47,11 @@ ExecutionResult MustExecute(const Plan& plan, Catalog* catalog,
 /// Runs the plan collecting all result rows.
 std::vector<Row> MustExecuteRows(const Plan& plan, Catalog* catalog,
                                  ExecOptions options = {});
+
+/// One EstimateInto call against a fresh Workspace and report, so no state
+/// carries over from earlier calls.
+ProgressReport EstimateFresh(const ProgressEstimator& estimator,
+                             const ProfileSnapshot& snapshot);
 
 }  // namespace testing
 }  // namespace lqs

@@ -1,8 +1,8 @@
 // Wire-format contract (src/remote/wire.h, DESIGN.md §10):
 //  - decode→re-encode is byte-identical for every message type, including
-//    randomized ProfileTraces with adversarial field values (the property
-//    the fault-tolerant client leans on: an accepted snapshot is exactly
-//    what the server serialized, bit-for-bit doubles included);
+//    every snapshot of randomized traces with adversarial field values (the
+//    property the fault-tolerant client leans on: an accepted snapshot is
+//    exactly what the server serialized, bit-for-bit doubles included);
 //  - frames are self-delimiting: WireFrameSize/WireFrameType split a
 //    concatenated stream without decoding payloads;
 //  - every decoder is total: truncation at *every* prefix length, a flip of
@@ -107,22 +107,52 @@ TEST(WireTest, SnapshotRoundTripsByteIdentical) {
   }
 }
 
+// Sends `snapshot` both ways the monitored path can: as a Snapshot frame
+// and as the snapshot arm of a PollResponse. Each must decode to the same
+// snapshot and re-encode to the same bytes.
+void ExpectSnapshotRoundTrips(const ProfileSnapshot& snapshot,
+                              bool query_complete,
+                              const std::string& context) {
+  std::string frame;
+  EncodeSnapshot(snapshot, &frame);
+  auto decoded = DecodeSnapshot(frame);
+  ASSERT_TRUE(decoded.ok()) << context << ": " << decoded.status().ToString();
+  ASSERT_EQ(decoded.value().operators.size(), snapshot.operators.size())
+      << context;
+  EXPECT_EQ(decoded.value().time_ms, snapshot.time_ms) << context;
+  std::string reencoded;
+  EncodeSnapshot(decoded.value(), &reencoded);
+  EXPECT_EQ(frame, reencoded) << context;
+
+  PollResponse response;
+  response.request_id = 1;
+  response.has_snapshot = true;
+  response.query_complete = query_complete;
+  response.snapshot = snapshot;
+  std::string poll_frame;
+  EncodePollResponse(response, &poll_frame);
+  auto polled = DecodePollResponse(poll_frame);
+  ASSERT_TRUE(polled.ok()) << context << ": " << polled.status().ToString();
+  EXPECT_EQ(polled.value().query_complete, query_complete) << context;
+  std::string snapshot_bytes;
+  EncodeSnapshot(polled.value().snapshot, &snapshot_bytes);
+  EXPECT_EQ(frame, snapshot_bytes) << context;
+  std::string poll_reencoded;
+  EncodePollResponse(polled.value(), &poll_reencoded);
+  EXPECT_EQ(poll_frame, poll_reencoded) << context;
+}
+
 TEST(WireTest, TraceRoundTripsByteIdenticalProperty) {
   for (uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed);
     ProfileTrace trace = RandomTrace(rng);
-    std::string frame;
-    EncodeTrace(trace, &frame);
-
-    auto decoded = DecodeTrace(frame);
-    ASSERT_TRUE(decoded.ok()) << "seed=" << seed << ": "
-                              << decoded.status().ToString();
-    ASSERT_EQ(decoded.value().snapshots.size(), trace.snapshots.size());
-    EXPECT_EQ(decoded.value().total_elapsed_ms, trace.total_elapsed_ms);
-
-    std::string reencoded;
-    EncodeTrace(decoded.value(), &reencoded);
-    EXPECT_EQ(frame, reencoded) << "seed=" << seed;
+    for (size_t i = 0; i < trace.snapshots.size(); ++i) {
+      ExpectSnapshotRoundTrips(trace.snapshots[i], /*query_complete=*/false,
+                               "seed=" + std::to_string(seed) +
+                                   " snapshot#" + std::to_string(i));
+    }
+    ExpectSnapshotRoundTrips(trace.final_snapshot, /*query_complete=*/true,
+                             "seed=" + std::to_string(seed) + " final");
   }
 }
 
@@ -139,46 +169,21 @@ TEST(WireTest, ExecutedTraceRoundTripsByteIdentical) {
   ExecutionResult result = MustExecute(plan, catalog.get(), exec);
   ASSERT_GT(result.trace.snapshots.size(), 2u);
 
-  std::string frame;
-  EncodeTrace(result.trace, &frame);
-  auto decoded = DecodeTrace(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  std::string reencoded;
-  EncodeTrace(decoded.value(), &reencoded);
-  EXPECT_EQ(frame, reencoded);
-  EXPECT_EQ(decoded.value().TrueCardinality(0), result.trace.TrueCardinality(0));
-}
-
-TEST(WireTest, PlanSummaryRoundTripsFromRealPlan) {
-  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
-  Plan plan = MustFinalize(
-      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
-                       {1}),
-              {2}, {Count()}),
-      *catalog);
-  ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
-
-  PlanSummary summary = PlanSummary::FromPlan(plan);
-  ASSERT_EQ(summary.nodes.size(), plan.size());
-  EXPECT_EQ(summary.nodes[0].parent_node_id, -1);  // root has no parent
-
-  std::string frame;
-  EncodePlanSummary(summary, &frame);
-  auto decoded = DecodePlanSummary(frame);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded.value().nodes.size(), summary.nodes.size());
-  for (size_t i = 0; i < summary.nodes.size(); ++i) {
-    EXPECT_EQ(decoded.value().nodes[i].node_id, summary.nodes[i].node_id);
-    EXPECT_EQ(decoded.value().nodes[i].parent_node_id,
-              summary.nodes[i].parent_node_id);
-    EXPECT_EQ(decoded.value().nodes[i].op_type, summary.nodes[i].op_type);
-    EXPECT_EQ(decoded.value().nodes[i].est_rows, summary.nodes[i].est_rows);
-    EXPECT_EQ(decoded.value().nodes[i].table_name,
-              summary.nodes[i].table_name);
+  for (size_t i = 0; i < result.trace.snapshots.size(); ++i) {
+    ExpectSnapshotRoundTrips(result.trace.snapshots[i],
+                             /*query_complete=*/false,
+                             "snapshot#" + std::to_string(i));
   }
-  std::string reencoded;
-  EncodePlanSummary(decoded.value(), &reencoded);
-  EXPECT_EQ(frame, reencoded);
+  ExpectSnapshotRoundTrips(result.trace.final_snapshot,
+                           /*query_complete=*/true, "final");
+
+  // The received final snapshot carries the true cardinalities.
+  std::string frame;
+  EncodeSnapshot(result.trace.final_snapshot, &frame);
+  auto decoded = DecodeSnapshot(frame);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().operators[0].row_count,
+            result.trace.TrueCardinality(0));
 }
 
 TEST(WireTest, PollResponseRoundTripsWithAndWithoutSnapshot) {
@@ -209,9 +214,15 @@ TEST(WireTest, PollResponseRoundTripsWithAndWithoutSnapshot) {
 TEST(WireTest, FrameStreamSplitsByDeclaredSize) {
   Rng rng(11);
   std::string stream;
-  EncodeSnapshot(RandomSnapshot(rng, 1.0), &stream);
+  const ProfileSnapshot base = RandomSnapshot(rng, 1.0);
+  EncodeSnapshot(base, &stream);
   size_t first_end = stream.size();
-  EncodeTrace(RandomTrace(rng), &stream);
+  ProfileSnapshot next = base;
+  next.time_ms = 2.0;
+  next.operators[0].row_count += 1;
+  auto delta = MakeSnapshotDelta(base, next);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  EncodeSnapshotDelta(delta.value(), &stream);
   size_t second_end = stream.size();
   PollResponse resp;
   resp.request_id = 9;
@@ -229,7 +240,8 @@ TEST(WireTest, FrameStreamSplitsByDeclaredSize) {
   auto size2 = WireFrameSize(rest);
   ASSERT_TRUE(size2.ok());
   EXPECT_EQ(size2.value(), second_end - first_end);
-  EXPECT_EQ(WireFrameType(rest).value(), WireType::kTrace);
+  EXPECT_EQ(WireFrameType(rest.substr(0, size2.value())).value(),
+            WireType::kSnapshotDelta);
 
   rest.remove_prefix(size2.value());
   auto size3 = WireFrameSize(rest);
@@ -304,8 +316,8 @@ TEST(WireTest, HeaderChecksRejectForeignAndFutureFrames) {
   EXPECT_EQ(DecodeSnapshot(future_version).status().code(),
             Status::Code::kUnimplemented);
 
-  // Right frame, wrong decoder: a snapshot is not a trace.
-  EXPECT_EQ(DecodeTrace(frame).status().code(),
+  // Right frame, wrong decoder: a snapshot is not a poll response.
+  EXPECT_EQ(DecodePollResponse(frame).status().code(),
             Status::Code::kInvalidArgument);
 
   // Trailing bytes break the exactly-one-frame contract.
@@ -313,9 +325,55 @@ TEST(WireTest, HeaderChecksRejectForeignAndFutureFrames) {
   EXPECT_FALSE(DecodeSnapshot(trailing).ok());
 }
 
+TEST(WireTest, UnknownMessageTypesAreRejected) {
+  // Type bytes outside WireType, including the reserved 1 and 3, on frames
+  // that are otherwise intact: right magic, version, length and CRC (the
+  // CRC covers only the payload, so patching the type byte keeps it valid).
+  Rng rng(17);
+  const ProfileSnapshot base = RandomSnapshot(rng, 1.0);
+  ProfileSnapshot next = base;
+  next.time_ms = 2.0;
+  next.operators[0].row_count += 1;
+  auto delta = MakeSnapshotDelta(base, next);
+  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+  PollResponse response;
+  response.request_id = 3;
+  response.has_snapshot = true;
+  response.snapshot = base;
+  std::vector<std::string> frames(3);
+  EncodeSnapshot(base, &frames[0]);
+  EncodePollResponse(response, &frames[1]);
+  EncodeSnapshotDelta(delta.value(), &frames[2]);
+
+  for (int type : {0, 1, 3, 6, 255}) {
+    for (const std::string& valid : frames) {
+      std::string frame = valid;
+      frame[3] = static_cast<char>(type);
+      const std::string context = "type byte " + std::to_string(type);
+      ASSERT_TRUE(WireFrameSize(frame).ok()) << context;
+      auto type_or = WireFrameType(frame);
+      ASSERT_FALSE(type_or.ok()) << context;
+      EXPECT_EQ(type_or.status().code(), Status::Code::kInvalidArgument)
+          << context;
+      EXPECT_NE(type_or.status().message().find("unknown message type"),
+                std::string::npos)
+          << context << ": " << type_or.status().ToString();
+      EXPECT_EQ(DecodeSnapshot(frame).status().code(),
+                Status::Code::kInvalidArgument)
+          << context;
+      EXPECT_EQ(DecodePollResponse(frame).status().code(),
+                Status::Code::kInvalidArgument)
+          << context;
+      EXPECT_EQ(DecodeSnapshotDelta(frame).status().code(),
+                Status::Code::kInvalidArgument)
+          << context;
+    }
+  }
+}
+
 TEST(WireTest, GarbageInputsFailWithoutCrashing) {
   EXPECT_FALSE(DecodeSnapshot("").ok());
-  EXPECT_FALSE(DecodeTrace("LQ").ok());
+  EXPECT_FALSE(DecodeSnapshotDelta("LQ").ok());
   EXPECT_FALSE(DecodePollResponse(std::string(kWireHeaderSize, '\0')).ok());
   EXPECT_FALSE(WireFrameSize("").ok());
   EXPECT_FALSE(WireFrameType("L").ok());
@@ -324,11 +382,10 @@ TEST(WireTest, GarbageInputsFailWithoutCrashing) {
     std::string garbage(rng.NextBelow(200), '\0');
     for (auto& c : garbage) c = static_cast<char>(rng.NextBelow(256));
     // Any status is fine; surviving the bytes is the property.
-    (void)DecodeSnapshot(garbage);      // lqs-verify: status-ok(fuzz loop)
-    (void)DecodeTrace(garbage);         // lqs-verify: status-ok(fuzz loop)
-    (void)DecodePlanSummary(garbage);   // lqs-verify: status-ok(fuzz loop)
-    (void)DecodePollResponse(garbage);  // lqs-verify: status-ok(fuzz loop)
-    (void)WireFrameSize(garbage);       // lqs-verify: status-ok(fuzz loop)
+    (void)DecodeSnapshot(garbage);       // lqs-verify: status-ok(fuzz loop)
+    (void)DecodePollResponse(garbage);   // lqs-verify: status-ok(fuzz loop)
+    (void)DecodeSnapshotDelta(garbage);  // lqs-verify: status-ok(fuzz loop)
+    (void)WireFrameSize(garbage);        // lqs-verify: status-ok(fuzz loop)
   }
 }
 

@@ -804,10 +804,6 @@ REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "ProgressEstimator::EstimateInto",
     "EncodeSnapshot",
     "DecodeSnapshot",
-    "EncodeTrace",
-    "DecodeTrace",
-    "EncodePlanSummary",
-    "DecodePlanSummary",
     "EncodePollResponse",
     "DecodePollResponse",
     "EncodeSnapshotDelta",
