@@ -2,9 +2,12 @@
 // stream of the TPC-DS / TPC-H bench workloads the way the monitored path
 // ships it, one PollResponse frame per snapshot plus a SnapshotDelta frame
 // against the previous snapshot, and reports sustained encode/decode
-// bandwidth, delta cost and frame sizes — the serialization cost a remote
-// monitor pays per 500 ms poll (DESIGN.md §10). The trailing "BENCH {...}"
-// JSON line is the machine-readable result (scripts/bench.sh collects it).
+// bandwidth (decoding into a fresh response, and into one reused response
+// the way PollingClient does), CRC-32 bandwidth, delta cost and frame sizes
+// — the serialization cost a remote monitor pays per 500 ms poll
+// (DESIGN.md §10). The trailing "BENCH {...}" JSON line is the
+// machine-readable result (scripts/bench.sh collects it); its "machine"
+// field names the core count and compiler the numbers came from.
 //
 //   $ ./build/bench/wire_throughput
 //
@@ -13,8 +16,10 @@
 // the exact snapshot it encodes, or the benchmark fails.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -87,10 +92,12 @@ int main() {
     }
   }
 
-  // Correctness first: every frame survives the wire byte-identically.
+  // Correctness first: every frame survives the wire byte-identically,
+  // decoded fresh and into one reused response alike.
   std::vector<std::string> response_frames;
   response_frames.reserve(snapshot_count);
   size_t snapshot_bytes = 0;
+  PollResponse reused;
   for (const PollResponse& response : responses) {
     std::string frame;
     EncodePollResponse(response, &frame);
@@ -100,9 +107,14 @@ int main() {
                    decoded.status().ToString().c_str());
       return 1;
     }
-    std::string reencoded;
+    std::string reencoded, reused_reencoded;
     EncodePollResponse(decoded.value(), &reencoded);
-    if (reencoded != frame) {
+    if (!DecodePollResponseInto(frame, &reused).ok()) {
+      std::fprintf(stderr, "decode into a reused response failed\n");
+      return 1;
+    }
+    EncodePollResponse(reused, &reused_reencoded);
+    if (reencoded != frame || reused_reencoded != frame) {
       std::fprintf(stderr, "poll response round trip not byte-identical\n");
       return 1;
     }
@@ -201,9 +213,38 @@ int main() {
   } while (SecondsSince(start) < kMinSeconds);
   const double decode_seconds = SecondsSince(start);
 
+  // Reuse mode: the same frames decoded into one response, as the client
+  // does every attempt, so the buffers keep their capacity.
+  size_t reuse_bytes = 0;
+  start = std::chrono::steady_clock::now();
+  do {
+    for (const std::string& frame : response_frames) {
+      if (!DecodePollResponseInto(frame, &reused).ok()) {
+        std::fprintf(stderr, "reuse decode failed mid-benchmark\n");
+        return 1;
+      }
+      reuse_bytes += frame.size();
+    }
+  } while (SecondsSince(start) < kMinSeconds);
+  const double reuse_seconds = SecondsSince(start);
+
+  // CRC bandwidth over the same frames (the check every decode runs).
+  size_t crc_bytes = 0;
+  uint32_t crc_sink = 0;
+  start = std::chrono::steady_clock::now();
+  do {
+    for (const std::string& frame : response_frames) {
+      crc_sink += WireCrc32(frame.data(), frame.size());
+      crc_bytes += frame.size();
+    }
+  } while (SecondsSince(start) < kMinSeconds);
+  const double crc_seconds = SecondsSince(start);
+
   const double mb = 1024.0 * 1024.0;
   const double encode_mb_per_sec = encode_bytes / mb / encode_seconds;
   const double decode_mb_per_sec = decode_bytes / mb / decode_seconds;
+  const double decode_reuse_mb_per_sec = reuse_bytes / mb / reuse_seconds;
+  const double crc_mb_per_s = crc_bytes / mb / crc_seconds;
   const double delta_ns_per_snapshot =
       delta_seconds * 1e9 / static_cast<double>(delta_frames);
   const double bytes_per_snapshot =
@@ -221,6 +262,10 @@ int main() {
   std::printf("  encode %.1f MB/s (%zu frames), decode %.1f MB/s (%zu frames)\n",
               encode_mb_per_sec, encode_frames, decode_mb_per_sec,
               decode_frames);
+  std::printf("  decode into a reused response %.1f MB/s, crc32 %.1f MB/s "
+              "(sum %08x)\n",
+              decode_reuse_mb_per_sec, crc_mb_per_s,
+              static_cast<unsigned>(crc_sink));
   std::printf("  delta make+encode %.0f ns/snapshot (%zu frames)\n",
               delta_ns_per_snapshot, delta_frames);
   std::printf("  %.1f bytes/snapshot, %.1f bytes/operator-row, %.2fx vs "
@@ -233,12 +278,16 @@ int main() {
       "BENCH {\"bench\":\"wire_throughput\",\"traces\":%zu,"
       "\"snapshots\":%zu,\"operator_rows\":%zu,"
       "\"encode_mb_per_sec\":%.1f,\"decode_mb_per_sec\":%.1f,"
+      "\"decode_reuse_mb_per_sec\":%.1f,\"crc_mb_per_s\":%.1f,"
       "\"delta_ns_per_snapshot\":%.0f,"
       "\"bytes_per_snapshot\":%.1f,\"bytes_per_operator_row\":%.1f,"
       "\"delta_bytes_per_snapshot\":%.1f,"
-      "\"roundtrip_byte_identical\":true}\n",
+      "\"roundtrip_byte_identical\":true,"
+      "\"machine\":{\"nproc\":%u,\"compiler\":\"%s\"}}\n",
       traces.size(), snapshot_count, operator_rows, encode_mb_per_sec,
-      decode_mb_per_sec, delta_ns_per_snapshot, bytes_per_snapshot,
-      bytes_per_operator_row, delta_bytes_per_snapshot);
+      decode_mb_per_sec, decode_reuse_mb_per_sec, crc_mb_per_s,
+      delta_ns_per_snapshot, bytes_per_snapshot, bytes_per_operator_row,
+      delta_bytes_per_snapshot, std::thread::hardware_concurrency(),
+      __VERSION__);
   return 0;
 }

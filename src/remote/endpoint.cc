@@ -1,9 +1,7 @@
 #include "remote/endpoint.h"
 
+#include <algorithm>
 #include <cstring>
-#include <utility>
-
-#include "remote/wire.h"
 
 namespace lqs {
 
@@ -22,8 +20,11 @@ bool SameBits(double a, double b) {
 }  // namespace
 
 PollResult LoopbackEndpoint::Poll(const PollRequest& request) {
-  PollResponse response;
+  PollResponse& response = response_;
   response.request_id = request.request_id;
+  response.has_snapshot = false;
+  response.query_complete = false;
+  response.has_delta = false;
   const ProfileSnapshot* target = nullptr;
   bool complete = false;
   if (request.now_ms >= trace_->total_elapsed_ms) {
@@ -48,13 +49,10 @@ PollResult LoopbackEndpoint::Poll(const PollRequest& request) {
       // timeline, or one damaged in flight, falls back to a keyframe).
       const ProfileSnapshot* base =
           trace_->SnapshotAtOrBefore(request.ack_time_ms);
-      if (base != nullptr && SameBits(base->time_ms, request.ack_time_ms)) {
-        StatusOr<SnapshotDelta> delta = MakeSnapshotDelta(*base, *target);
-        if (delta.ok()) {
-          response.has_delta = true;
-          response.delta = std::move(delta).value();
-          sent_delta = true;
-        }
+      if (base != nullptr && SameBits(base->time_ms, request.ack_time_ms) &&
+          MakeSnapshotDeltaInto(*base, *target, &response.delta).ok()) {
+        response.has_delta = true;
+        sent_delta = true;
       }
     }
     if (sent_delta) {
@@ -67,7 +65,10 @@ PollResult LoopbackEndpoint::Poll(const PollRequest& request) {
     }
   }
   PollResult result;
+  result.frame.reserve(frame_size_hint_);
   EncodePollResponse(response, &result.frame);
+  frame_size_hint_ =
+      std::max(frame_size_hint_, result.frame.size() + result.frame.size() / 8);
   result.arrival_ms = request.now_ms;  // loopback delivers instantly
   return result;
 }

@@ -6,6 +6,7 @@
 
 #include "common/status.h"
 #include "dmv/query_profile.h"
+#include "remote/wire.h"
 
 namespace lqs {
 
@@ -86,6 +87,11 @@ struct LoopbackOptions {
 /// LoopbackOptions::serve_deltas it also implements the server half of the
 /// delta protocol: diff against the acked base, keyframe on schedule or on
 /// demand, always full for completion.
+///
+/// The endpoint owns the response it encodes and reuses it across polls, so
+/// the delta ops and the keyframe snapshot keep their capacity, and it
+/// reserves each frame from the largest frame it has sent: a steady-state
+/// poll allocates only the returned frame.
 class LoopbackEndpoint : public SnapshotEndpoint {
  public:
   /// `trace` must outlive the endpoint.
@@ -101,6 +107,11 @@ class LoopbackEndpoint : public SnapshotEndpoint {
   LoopbackOptions options_;
   /// Consecutive delta responses since the last full snapshot went out.
   int deltas_since_keyframe_ = 0;
+  /// The response being encoded; every Poll rewrites the fields it sends.
+  PollResponse response_;
+  /// Capacity to reserve for the next frame (largest frame so far plus
+  /// headroom for counters growing by a varint byte or two).
+  size_t frame_size_hint_ = 0;
 };
 
 }  // namespace lqs

@@ -14,8 +14,9 @@ PollingClient::PollingClient(std::unique_ptr<SnapshotEndpoint> endpoint,
       options_(options),
       jitter_rng_(options.jitter_seed) {}
 
-bool PollingClient::MaybeAccept(ProfileSnapshot snapshot,
+bool PollingClient::MaybeAccept(ProfileSnapshot* candidate,
                                 bool query_complete) {
+  const ProfileSnapshot& snapshot = *candidate;
   if (have_snapshot_) {
     if (snapshot.time_ms <= last_accepted_.time_ms) {
       // Same instant: a redelivered duplicate, harmless. Older: a reordered
@@ -44,10 +45,10 @@ bool PollingClient::MaybeAccept(ProfileSnapshot snapshot,
         return false;
       }
     }
-    prev_accepted_ = std::move(last_accepted_);
+    std::swap(prev_accepted_, last_accepted_);
     have_prev_ = true;
   }
-  last_accepted_ = std::move(snapshot);
+  std::swap(last_accepted_, *candidate);
   have_snapshot_ = true;
   if (query_complete) complete_ = true;
   ++stats_.accepted;
@@ -231,8 +232,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
       continue;
     }
     stats_.bytes_received += result.frame.size();
-    StatusOr<PollResponse> response = DecodePollResponse(result.frame);
-    if (!response.ok()) {
+    if (!DecodePollResponseInto(result.frame, &decoded_).ok()) {
       // Bytes arrived damaged (truncated / bit-flipped / CRC). The decoder
       // contained the blast; retry as if the response were lost, but track
       // it separately — persistent decode errors mean version skew or a
@@ -247,7 +247,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
       continue;
     }
     link_alive = true;
-    if (response->request_id != request.request_id) {
+    if (decoded_.request_id != request.request_id) {
       // A response to a request other than the one just sent: a late
       // delivery surfacing from behind the link's queue, or a misroute.
       // Late deliveries are legitimate data, so the payload still goes
@@ -255,16 +255,15 @@ const ClientView& PollingClient::Poll(double now_ms) {
       // link that systematically answers the wrong question is visible.
       ++stats_.request_id_mismatches;
     }
-    if (response->has_delta) {
-      ProfileSnapshot reassembled;
+    if (decoded_.has_delta) {
       Status applied =
           have_snapshot_
-              ? ApplySnapshotDelta(response->delta, last_accepted_,
-                                   &reassembled)
+              ? ApplySnapshotDelta(decoded_.delta, last_accepted_,
+                                   &reassembled_)
               : Status::NotFound("remote: delta with no base snapshot");
       if (applied.ok()) {
         ++stats_.deltas_applied;
-        if (MaybeAccept(std::move(reassembled), response->query_complete)) {
+        if (MaybeAccept(&reassembled_, decoded_.query_complete)) {
           accepted_fresh = true;
           break;
         }
@@ -290,12 +289,11 @@ const ClientView& PollingClient::Poll(double now_ms) {
       }
       continue;
     }
-    if (response->has_snapshot) {
+    if (decoded_.has_snapshot) {
       // A full snapshot always resynchronizes the delta protocol, accepted
       // or not — the server honored (or pre-empted) the keyframe demand.
       need_keyframe_ = false;
-      if (MaybeAccept(std::move(response->snapshot),
-                      response->query_complete)) {
+      if (MaybeAccept(&decoded_.snapshot, decoded_.query_complete)) {
         accepted_fresh = true;
         break;
       }

@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "dmv/query_profile.h"
 #include "remote/endpoint.h"
+#include "remote/wire.h"
 
 namespace lqs {
 
@@ -145,9 +146,11 @@ class PollingClient {
   /// non-decreasing times. The returned view (and its snapshot pointer) is
   /// valid until the next Poll().
   LQS_ALLOC_OK(
-      "transport decode path: request/response buffers and accepted "
-      "snapshots allocate by design; the monitor's per-tick allocation "
-      "budget for this arm is bounded by tests/estimator_alloc_test.cc")
+      "transport path: each attempt receives its frame by value from the "
+      "endpoint (one allocation); decode, delta reassembly and acceptance "
+      "reuse client-owned buffers once sized. tests/estimator_alloc_test.cc "
+      "bounds a warm delta loopback client at attempts + 8 allocations and "
+      "a monitor tick over remote delta sessions at 2 + attempts")
   const ClientView& Poll(double now_ms);
 
   /// Last view without polling again.
@@ -165,9 +168,11 @@ class PollingClient {
   const SnapshotEndpoint& endpoint() const { return *endpoint_; }
 
  private:
-  /// Applies the duplicate/regression filter; on acceptance rotates
-  /// prev_/last_ and returns true.
-  bool MaybeAccept(ProfileSnapshot snapshot, bool query_complete);
+  /// Applies the duplicate/regression filter to `*candidate`; on
+  /// acceptance rotates the buffers by swapping (prev_ <- last_ <-
+  /// candidate, and the old prev_ storage lands in `*candidate` for reuse)
+  /// and returns true.
+  bool MaybeAccept(ProfileSnapshot* candidate, bool query_complete);
   void BuildView(double now_ms, bool accepted_fresh, bool link_alive);
   void Interpolate(double now_ms);
   /// Clamps `source` against the previously served view (element-wise
@@ -186,6 +191,11 @@ class PollingClient {
   bool have_prev_ = false;
   ProfileSnapshot last_accepted_;
   ProfileSnapshot prev_accepted_;
+  /// Every attempt's frame decodes into this one response, so its snapshot
+  /// and delta buffers keep their capacity across polls.
+  PollResponse decoded_;
+  /// Delta reassembly target; rotated into last_accepted_ on acceptance.
+  ProfileSnapshot reassembled_;
   /// Storage the view's snapshot pointer targets under kInterpolate.
   ProfileSnapshot interpolated_;
   /// Storage the view's snapshot pointer targets mid-run: the served view,

@@ -9,9 +9,10 @@ namespace lqs {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Low-level primitives. The writer appends to a std::string; the reader is a
-// bounds-checked cursor over a string_view — every Get* returns a Status and
-// refuses to advance past the end, which is what makes the decoders total.
+// Low-level primitives. The writer appends to a std::string, each field in
+// one append from a local buffer; the reader is a bounds-checked cursor over
+// a string_view — every Get* returns a Status and refuses to advance past
+// the end, which is what makes the decoders total.
 // ---------------------------------------------------------------------------
 
 uint64_t ZigzagEncode(int64_t v) {
@@ -29,11 +30,14 @@ class WireWriter {
   void PutByte(uint8_t b) { out_->push_back(static_cast<char>(b)); }
 
   void PutVarint(uint64_t v) {
+    char buf[10];
+    size_t n = 0;
     while (v >= 0x80) {
-      PutByte(static_cast<uint8_t>(v) | 0x80);
+      buf[n++] = static_cast<char>(static_cast<uint8_t>(v) | 0x80);
       v >>= 7;
     }
-    PutByte(static_cast<uint8_t>(v));
+    buf[n++] = static_cast<char>(v);
+    out_->append(buf, n);
   }
 
   void PutZigzag(int64_t v) { PutVarint(ZigzagEncode(v)); }
@@ -42,9 +46,11 @@ class WireWriter {
   void PutDouble(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
+    char buf[8];
     for (int i = 0; i < 8; ++i) {
-      PutByte(static_cast<uint8_t>(bits >> (8 * i)));
+      buf[i] = static_cast<char>(static_cast<uint8_t>(bits >> (8 * i)));
     }
+    out_->append(buf, sizeof(buf));
   }
 
   /// Compact encoding of an XOR of two IEEE-754 bit patterns: one prefix
@@ -70,10 +76,12 @@ class WireWriter {
       probe >>= 8;
       ++sig;
     }
-    PutByte(static_cast<uint8_t>((tz << 4) | sig));
+    char buf[9];
+    buf[0] = static_cast<char>((tz << 4) | sig);
     for (int i = 0; i < sig; ++i) {
-      PutByte(static_cast<uint8_t>(x >> (8 * i)));
+      buf[1 + i] = static_cast<char>(static_cast<uint8_t>(x >> (8 * i)));
     }
+    out_->append(buf, static_cast<size_t>(1 + sig));
   }
 
  private:
@@ -178,9 +186,9 @@ class WireReader {
 // Framing.
 // ---------------------------------------------------------------------------
 
-void PutFixed32(std::string* out, uint32_t v) {
+void StoreFixed32(char* at, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(static_cast<uint8_t>(v >> (8 * i))));
+    at[i] = static_cast<char>(static_cast<uint8_t>(v >> (8 * i)));
   }
 }
 
@@ -194,19 +202,18 @@ uint32_t GetFixed32(std::string_view data, size_t offset) {
 }
 
 /// Wraps `payload` (already appended at out->size() - payload_size) in a
-/// frame: the header is written into the reserved bytes at `header_at`.
+/// frame: the header is patched in place over the reserved bytes at
+/// `header_at`.
 void FinishFrame(std::string* out, size_t header_at, WireType type) {
   const size_t payload_size = out->size() - header_at - kWireHeaderSize;
-  std::string header;
-  header.reserve(kWireHeaderSize);
-  header.push_back(kWireMagic0);
-  header.push_back(kWireMagic1);
-  header.push_back(static_cast<char>(kWireVersion));
-  header.push_back(static_cast<char>(type));
-  PutFixed32(&header, static_cast<uint32_t>(payload_size));
-  PutFixed32(&header, WireCrc32(out->data() + header_at + kWireHeaderSize,
-                                payload_size));
-  out->replace(header_at, kWireHeaderSize, header);
+  char* header = out->data() + header_at;
+  header[0] = kWireMagic0;
+  header[1] = kWireMagic1;
+  header[2] = static_cast<char>(kWireVersion);
+  header[3] = static_cast<char>(type);
+  StoreFixed32(header + 4, static_cast<uint32_t>(payload_size));
+  StoreFixed32(header + 8,
+               WireCrc32(header + kWireHeaderSize, payload_size));
 }
 
 size_t StartFrame(std::string* out) {
@@ -531,6 +538,38 @@ Status GetDeltaBody(WireReader* r, SnapshotDelta* delta) {
   return Status::OK();
 }
 
+// CRC-32 slicing-by-8 tables. t[0] is the classic reflected byte table;
+// t[k][i] is the CRC register after byte i followed by k zero bytes, so
+// eight lookups fold eight input bytes at once.
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    tables.t[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 Status RequireExhausted(const WireReader& r) {
   if (!r.exhausted()) {
     return Status::InvalidArgument(
@@ -542,22 +581,18 @@ Status RequireExhausted(const WireReader& r) {
 }  // namespace
 
 uint32_t WireCrc32(const void* data, size_t size) {
-  // IEEE 802.3 reflected CRC-32, table built once (thread-safe static init).
-  static const auto table = [] {
-    std::vector<uint32_t> t(256);
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrc32Tables.t;
   const auto* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(bytes);
+    const uint32_t hi = LoadLe32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -590,17 +625,21 @@ void EncodeSnapshotDelta(const SnapshotDelta& delta, std::string* out) {
   FinishFrame(out, header_at, WireType::kSnapshotDelta);
 }
 
-StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
-                                          const ProfileSnapshot& target) {
+Status MakeSnapshotDeltaInto(const ProfileSnapshot& base,
+                             const ProfileSnapshot& target,
+                             SnapshotDelta* delta) {
   if (base.operators.size() != target.operators.size()) {
     return Status::InvalidArgument(
         StringF("wire: delta base has %zu operators, target %zu",
                 base.operators.size(), target.operators.size()));
   }
-  SnapshotDelta delta;
-  delta.base_time_ms = base.time_ms;
-  delta.time_ms = target.time_ms;
-  delta.operator_count = base.operators.size();
+  delta->base_time_ms = base.time_ms;
+  delta->time_ms = target.time_ms;
+  delta->operator_count = base.operators.size();
+  delta->ops.clear();
+  // A snapshot differs from itself in no field: the scan below would find
+  // nothing, so skip it.
+  if (&base == &target) return Status::OK();
   for (size_t i = 0; i < base.operators.size(); ++i) {
     const OperatorProfile& b = base.operators[i];
     const OperatorProfile& t = target.operators[i];
@@ -678,8 +717,15 @@ StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
       op.changed |= kDeltaFlags;
       op.flags = PackProfileFlags(t);
     }
-    if (op.changed != 0) delta.ops.push_back(op);
+    if (op.changed != 0) delta->ops.push_back(op);
   }
+  return Status::OK();
+}
+
+StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
+                                          const ProfileSnapshot& target) {
+  SnapshotDelta delta;
+  LQS_RETURN_IF_ERROR(MakeSnapshotDeltaInto(base, target, &delta));
   return delta;
 }
 
@@ -816,32 +862,36 @@ StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame) {
   return snapshot;
 }
 
-StatusOr<PollResponse> DecodePollResponse(std::string_view frame) {
+Status DecodePollResponseInto(std::string_view frame, PollResponse* response) {
   std::string_view payload;
   LQS_ASSIGN_OR_RETURN(payload, CheckFrame(frame, WireType::kPollResponse));
   WireReader r(payload);
-  PollResponse response;
-  LQS_RETURN_IF_ERROR(r.GetVarint(&response.request_id));
+  LQS_RETURN_IF_ERROR(r.GetVarint(&response->request_id));
   uint8_t flags;
   LQS_RETURN_IF_ERROR(r.GetByte(&flags));
   if ((flags & ~kPollFlagMask) != 0) {
     return Status::InvalidArgument(
         StringF("wire: undefined poll flag bits 0x%02x", flags));
   }
-  response.has_snapshot = (flags & kPollFlagHasSnapshot) != 0;
-  response.query_complete = (flags & kPollFlagQueryComplete) != 0;
-  response.has_delta = (flags & kPollFlagHasDelta) != 0;
-  if (response.has_snapshot && response.has_delta) {
+  response->has_snapshot = (flags & kPollFlagHasSnapshot) != 0;
+  response->query_complete = (flags & kPollFlagQueryComplete) != 0;
+  response->has_delta = (flags & kPollFlagHasDelta) != 0;
+  if (response->has_snapshot && response->has_delta) {
     return Status::InvalidArgument(
         "wire: poll response carries both a snapshot and a delta");
   }
-  if (response.has_snapshot) {
-    LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &response.snapshot));
+  if (response->has_snapshot) {
+    LQS_RETURN_IF_ERROR(GetSnapshotBody(&r, &response->snapshot));
   }
-  if (response.has_delta) {
-    LQS_RETURN_IF_ERROR(GetDeltaBody(&r, &response.delta));
+  if (response->has_delta) {
+    LQS_RETURN_IF_ERROR(GetDeltaBody(&r, &response->delta));
   }
-  LQS_RETURN_IF_ERROR(RequireExhausted(r));
+  return RequireExhausted(r);
+}
+
+StatusOr<PollResponse> DecodePollResponse(std::string_view frame) {
+  PollResponse response;
+  LQS_RETURN_IF_ERROR(DecodePollResponseInto(frame, &response));
   return response;
 }
 

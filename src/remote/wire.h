@@ -54,6 +54,10 @@ enum class WireType : uint8_t {
 };
 
 /// CRC32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) of `size` bytes.
+/// Slicing-by-8: eight 256-entry tables, built at compile time, consume
+/// eight bytes per step; the tail is finished one byte at a time. The
+/// output is the classic table-driven CRC's, bit for bit (the wire golden
+/// corpus in tests/wire_test.cc pins it).
 uint32_t WireCrc32(const void* data, size_t size);
 
 /// Per-field presence bits of one OperatorDelta. A set bit means the frame
@@ -118,11 +122,22 @@ struct SnapshotDelta {
   std::vector<OperatorDelta> ops;  ///< ascending by index
 };
 
-/// Computes the delta that turns `base` into `target`. Fails with
+/// Computes the delta that turns `base` into `target` into `*delta`,
+/// overwriting every field and keeping `delta->ops`' capacity, so a server
+/// that reuses one delta per client stops allocating once it is sized.
+/// When `base` and `target` are the same object (no sample newer than the
+/// ack) the result is the empty delta without a field scan. Fails with
 /// kInvalidArgument when the pair is not delta-encodable: operator count,
 /// node ids, parent ids or operator types differ (plans never change shape
 /// mid-query, so a mismatch means the two snapshots are not from the same
-/// execution — send a keyframe instead).
+/// execution — send a keyframe instead). On failure `*delta` is
+/// unspecified.
+LQS_DETERMINISTIC
+Status MakeSnapshotDeltaInto(const ProfileSnapshot& base,
+                             const ProfileSnapshot& target,
+                             SnapshotDelta* delta);
+
+/// MakeSnapshotDeltaInto into a fresh delta.
 LQS_DETERMINISTIC
 StatusOr<SnapshotDelta> MakeSnapshotDelta(const ProfileSnapshot& base,
                                           const ProfileSnapshot& target);
@@ -181,6 +196,15 @@ LQS_DETERMINISTIC
 StatusOr<ProfileSnapshot> DecodeSnapshot(std::string_view frame);
 LQS_DETERMINISTIC
 StatusOr<PollResponse> DecodePollResponse(std::string_view frame);
+/// DecodePollResponse into a caller-owned response, reusing its snapshot
+/// and delta buffers: a client that decodes every poll into one response
+/// stops allocating once it is sized. Same checks and the same Status on
+/// every input. On success the header fields and flags are overwritten,
+/// and `snapshot` / `delta` are rewritten when their flag is set (a field
+/// whose flag is clear keeps stale contents and is meaningless, as the
+/// PollResponse fields say). On failure `*response` is unspecified.
+LQS_DETERMINISTIC
+Status DecodePollResponseInto(std::string_view frame, PollResponse* response);
 LQS_DETERMINISTIC
 StatusOr<SnapshotDelta> DecodeSnapshotDelta(std::string_view frame);
 

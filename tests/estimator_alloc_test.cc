@@ -22,7 +22,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -30,6 +32,8 @@
 #include "lqs/estimator.h"
 #include "monitor/monitor_service.h"
 #include "optimizer/annotate.h"
+#include "remote/endpoint.h"
+#include "remote/polling_client.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
 
@@ -337,6 +341,123 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
               kPerTickBudget * static_cast<uint64_t>(kMeasuredTicks))
         << sessions << " sessions: steady-state monitor ticks allocated "
         << window.count() / kMeasuredTicks << " times per tick";
+  }
+}
+
+TEST_F(EstimatorAllocTest, DeltaLoopbackClientAllocatesOnlyTheFramePerAttempt) {
+  // Transport arm (src/remote/polling_client.h): a warm client over a
+  // healthy delta loopback allocates exactly one buffer per attempt — the
+  // frame the endpoint returns by value. The endpoint reuses its response
+  // and delta, the client decodes into one response, reassembles into one
+  // snapshot and rotates accepted snapshots by swapping, so nothing else on
+  // the path may allocate per attempt. Polling at half the snapshot
+  // interval under kInterpolate also walks the stale ticks (duplicate
+  // deltas, retries, the interpolated view) and the periodic keyframes.
+  Plan plan = Annotated(
+      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
+                       {1}),
+              {2}, {Count()}));
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 0.5;
+  auto result = MustExecute(plan, catalog_.get(), exec);
+  ASSERT_GT(result.trace.snapshots.size(), 40u);
+
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  PollingClientOptions options;
+  options.staleness_policy = StalenessPolicy::kInterpolate;
+  PollingClient client(
+      std::make_unique<LoopbackEndpoint>(&result.trace, loopback), options);
+
+  const double horizon = result.trace.total_elapsed_ms;
+  const double step = exec.snapshot_interval_ms / 2;
+  // Warmup spans two keyframe cycles, so every buffer on the path has
+  // held a full snapshot and a delta before the window opens.
+  const double warm_ms = horizon / 4;
+  double now = 0;
+  for (; now < warm_ms; now += step) (void)client.Poll(now);
+  ASSERT_GT(client.stats().deltas_applied, 32u);
+
+  const uint64_t attempts_before = client.stats().attempts;
+  const uint64_t deltas_before = client.stats().deltas_applied;
+  const uint64_t stale_before = client.stats().stale_polls;
+  uint64_t allocations = 0;
+  {
+    AllocationWindow window;
+    for (; now < horizon - step; now += step) (void)client.Poll(now);
+    allocations = window.count();
+  }
+  const uint64_t attempts = client.stats().attempts - attempts_before;
+  ASSERT_GT(client.stats().deltas_applied - deltas_before, 16u);
+  ASSERT_GT(client.stats().stale_polls - stale_before, 0u);
+  EXPECT_FALSE(client.complete());
+  EXPECT_LE(allocations, attempts + 8)
+      << allocations << " allocations over " << attempts << " attempts";
+}
+
+TEST_F(EstimatorAllocTest, MonitorTickOverRemoteDeltaSessionsStaysInBudget) {
+  // The monitor-level view of the same bound: a steady-state Tick over
+  // remote delta sessions may allocate its two per-tick buffers (the
+  // returned vector and the pool dispatch) plus one frame per attempt.
+  Plan plan = Annotated(
+      HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
+                       {1}),
+              {2}, {Count()}));
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 0.5;
+  auto result = MustExecute(plan, catalog_.get(), exec);
+  ASSERT_GT(result.trace.snapshots.size(), 80u);
+
+  constexpr uint64_t kPerTickBudget = 2;
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  const double trace_ms = result.trace.total_elapsed_ms;
+  for (size_t sessions : {size_t{8}, size_t{64}}) {
+    MonitorService monitor;
+    for (size_t i = 0; i < sessions; ++i) {
+      monitor.RegisterRemoteSession(
+          "r" + std::to_string(i), &plan, catalog_.get(),
+          std::make_unique<LoopbackEndpoint>(&result.trace, loopback),
+          0.5 * static_cast<double>(i % 8));
+    }
+    auto total_attempts = [&monitor] {
+      uint64_t total = 0;
+      for (size_t i = 0; i < monitor.session_count(); ++i) {
+        total += monitor.session_client_stats(static_cast<int>(i)).attempts;
+      }
+      return total;
+    };
+    // Warmup ticks once per snapshot interval through the first half of
+    // the trace: past the last arrival and through at least two keyframe
+    // cycles of every session, so each client and endpoint buffer is sized.
+    double now = 0;
+    for (; now < trace_ms / 2; now += exec.snapshot_interval_ms) {
+      (void)monitor.Tick(now);
+    }
+    ASSERT_EQ(monitor.stats().waiting, 0u);
+
+    // The window ends before the first session completes, so every
+    // session polls on every measured tick.
+    constexpr int kMeasuredTicks = 40;
+    const double step = (trace_ms - 1.0 - now) / kMeasuredTicks;
+    const uint64_t attempts_before = total_attempts();
+    uint64_t allocations = 0;
+    {
+      AllocationWindow window;
+      for (int i = 0; i < kMeasuredTicks; ++i) {
+        now += step;
+        (void)monitor.Tick(now);
+      }
+      allocations = window.count();
+    }
+    const uint64_t attempts = total_attempts() - attempts_before;
+    ASSERT_GE(attempts, sessions * kMeasuredTicks);
+    EXPECT_LE(allocations,
+              kPerTickBudget * static_cast<uint64_t>(kMeasuredTicks) +
+                  attempts)
+        << sessions << " remote sessions: " << allocations
+        << " allocations over " << kMeasuredTicks << " ticks and " << attempts
+        << " attempts";
   }
 }
 

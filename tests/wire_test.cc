@@ -11,6 +11,7 @@
 //    read (the sanitizer CI jobs run this file under ASan/UBSan).
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "remote/wire.h"
 #include "tests/test_util.h"
 #include "workload/plan_builder.h"
+#include "workload/workload.h"
 
 namespace lqs {
 namespace testing {
@@ -393,6 +395,40 @@ TEST(WireTest, Crc32MatchesKnownVectors) {
   // IEEE 802.3 check value for "123456789".
   EXPECT_EQ(WireCrc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(WireCrc32("", 0), 0x00000000u);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(WireCrc32(fox.data(), fox.size()), 0x414FA339u);
+  const std::string zeros(32, '\x00');
+  EXPECT_EQ(WireCrc32(zeros.data(), zeros.size()), 0x190A55ADu);
+  const std::string ones(32, '\xFF');
+  EXPECT_EQ(WireCrc32(ones.data(), ones.size()), 0xFF6CAB0Bu);
+}
+
+// The textbook bit-at-a-time CRC-32 (reflected polynomial 0xEDB88320,
+// init and xorout 0xFFFFFFFF): no tables, nothing shared with WireCrc32.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WireTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0..1024 from each of the 8 start offsets: covers the
+  // 8-byte main loop, every tail length and unaligned loads.
+  Rng rng(2024);
+  std::vector<uint8_t> buffer(1024 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.NextBelow(256));
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const uint8_t* start = buffer.data() + align;
+      ASSERT_EQ(WireCrc32(start, len), BitwiseCrc32(start, len))
+          << "align=" << align << " len=" << len;
+    }
+  }
 }
 
 // Advances a copy of `base` the way a running query would: same shape, some
@@ -605,6 +641,191 @@ TEST(WireTest, PollResponseDeltaArmRoundTripsByteIdentical) {
   EncodeSnapshot(target, &full_target);
   EncodeSnapshot(out, &full_out);
   EXPECT_EQ(full_target, full_out);
+}
+
+// FNV-1a (64-bit) over `bytes`, continuing from `hash`.
+uint64_t Fnv1a(uint64_t hash, const std::string& bytes) {
+  for (char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+// Every frame kind the wire carries, built from executed TPC-H traces and
+// seeded MutateTowards pairs: Snapshot frames, PollResponse frames (full,
+// delta, empty and complete) and SnapshotDelta frames.
+std::vector<std::string> GoldenCorpus() {
+  std::vector<std::string> frames;
+  auto add_snapshot = [&frames](const ProfileSnapshot& snapshot) {
+    EncodeSnapshot(snapshot, &frames.emplace_back());
+  };
+  auto add_response = [&frames](const PollResponse& response) {
+    EncodePollResponse(response, &frames.emplace_back());
+  };
+  auto add_delta = [&frames, &add_response](const SnapshotDelta& delta,
+                                            uint64_t request_id) {
+    EncodeSnapshotDelta(delta, &frames.emplace_back());
+    PollResponse response;
+    response.request_id = request_id;
+    response.has_delta = true;
+    response.delta = delta;
+    add_response(response);
+  };
+
+  TpchOptions tpch;
+  tpch.scale = 0.05;
+  StatusOr<Workload> workload = MakeTpchWorkload(tpch);
+  EXPECT_TRUE(workload.ok()) << workload.status().ToString();
+  if (!workload.ok()) return frames;
+  EXPECT_TRUE(AnnotateWorkload(&workload.value(), OptimizerOptions{}).ok());
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 1.0;
+  uint64_t request_id = 0;
+  constexpr size_t kQueries = 8;
+  for (size_t q = 0; q < kQueries && q < workload->queries.size(); ++q) {
+    StatusOr<ExecutionResult> run = ExecuteQuery(
+        workload->queries[q].plan, workload->catalog.get(), exec);
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    if (!run.ok()) continue;
+    const ProfileTrace& trace = run->trace;
+    PollResponse empty;
+    empty.request_id = ++request_id;
+    add_response(empty);
+    for (size_t i = 0; i < trace.snapshots.size(); ++i) {
+      const ProfileSnapshot& snapshot = trace.snapshots[i];
+      add_snapshot(snapshot);
+      PollResponse full;
+      full.request_id = ++request_id;
+      full.has_snapshot = true;
+      full.snapshot = snapshot;
+      add_response(full);
+      if (i > 0) {
+        StatusOr<SnapshotDelta> delta =
+            MakeSnapshotDelta(trace.snapshots[i - 1], snapshot);
+        EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+        if (delta.ok()) add_delta(delta.value(), ++request_id);
+      }
+    }
+    PollResponse complete;
+    complete.request_id = ++request_id;
+    complete.has_snapshot = true;
+    complete.query_complete = true;
+    complete.snapshot = trace.final_snapshot;
+    add_response(complete);
+  }
+
+  for (uint64_t seed = 1; seed <= 96; ++seed) {
+    Rng rng(seed);
+    const ProfileSnapshot base = RandomSnapshot(rng, rng.NextDouble() * 1e5);
+    const ProfileSnapshot target =
+        MutateTowards(rng, base, base.time_ms + 1 + rng.NextDouble() * 100);
+    add_snapshot(target);
+    StatusOr<SnapshotDelta> delta = MakeSnapshotDelta(base, target);
+    EXPECT_TRUE(delta.ok()) << delta.status().ToString();
+    if (delta.ok()) add_delta(delta.value(), seed << 40);
+  }
+  return frames;
+}
+
+TEST(WireTest, GoldenCorpusPinsEveryFrameByte) {
+  // Pins every frame byte: a change to any CRC, varint or header field
+  // changes the digest. The constant was computed with the byte-at-a-time
+  // table CRC, so it also ties the slicing-by-8 CRC to that output.
+  constexpr uint64_t kGoldenDigest = 0xD24C1AA274E6B882ull;
+  const std::vector<std::string> frames = GoldenCorpus();
+  ASSERT_GE(frames.size(), 800u);
+  uint64_t digest = 0xCBF29CE484222325ull;
+  for (const std::string& frame : frames) digest = Fnv1a(digest, frame);
+  EXPECT_EQ(digest, kGoldenDigest)
+      << std::hex << "digest 0x" << digest << " over " << std::dec
+      << frames.size() << " frames";
+}
+
+TEST(WireTest, MakeSnapshotDeltaIntoMatchesFreshDeltaUnderReuse) {
+  // One delta reused across pairs of different shapes must come out exactly
+  // as the fresh-delta wrapper builds it, and the same-object short cut
+  // must equal the full scan against an identical copy.
+  SnapshotDelta reused;
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    Rng rng(seed);
+    const ProfileSnapshot base = RandomSnapshot(rng, rng.NextDouble() * 1e5);
+    const ProfileSnapshot target =
+        MutateTowards(rng, base, base.time_ms + 1 + rng.NextDouble() * 100);
+    ASSERT_OK(MakeSnapshotDeltaInto(base, target, &reused));
+    StatusOr<SnapshotDelta> fresh = MakeSnapshotDelta(base, target);
+    ASSERT_TRUE(fresh.ok());
+    std::string reused_frame, fresh_frame;
+    EncodeSnapshotDelta(reused, &reused_frame);
+    EncodeSnapshotDelta(fresh.value(), &fresh_frame);
+    EXPECT_EQ(reused_frame, fresh_frame) << "seed=" << seed;
+
+    ASSERT_OK(MakeSnapshotDeltaInto(target, target, &reused));
+    EXPECT_TRUE(reused.ops.empty()) << "seed=" << seed;
+    const ProfileSnapshot copy = target;
+    std::string self_frame, copy_frame;
+    EncodeSnapshotDelta(reused, &self_frame);
+    EncodeSnapshotDelta(MakeSnapshotDelta(copy, target).value(), &copy_frame);
+    EXPECT_EQ(self_frame, copy_frame) << "seed=" << seed;
+
+    ProfileSnapshot wider = target;
+    wider.operators.push_back(wider.operators.back());
+    EXPECT_EQ(MakeSnapshotDeltaInto(base, wider, &reused).ToString(),
+              MakeSnapshotDelta(base, wider).status().ToString());
+  }
+}
+
+TEST(WireTest, DecodePollResponseIntoMatchesFreshDecodeUnderReuse) {
+  // One response reused across full, delta, empty and complete frames of
+  // varying width: each decode re-encodes to the frame it came from, and a
+  // damaged frame fails with the very Status the fresh decoder returns.
+  Rng rng(53);
+  PollResponse reused;
+  for (uint64_t i = 0; i < 64; ++i) {
+    PollResponse msg;
+    msg.request_id = i + 1;
+    const ProfileSnapshot base = RandomSnapshot(rng, 10.0 * (i + 1));
+    switch (i % 4) {
+      case 0:
+        msg.has_snapshot = true;
+        msg.snapshot = base;
+        break;
+      case 1:
+        msg.has_delta = true;
+        msg.delta =
+            MakeSnapshotDelta(base, MutateTowards(rng, base, base.time_ms + 5))
+                .value();
+        break;
+      case 2:
+        break;  // nothing yet
+      default:
+        msg.has_snapshot = true;
+        msg.query_complete = true;
+        msg.snapshot = base;
+        break;
+    }
+    std::string frame;
+    EncodePollResponse(msg, &frame);
+    ASSERT_OK(DecodePollResponseInto(frame, &reused));
+    StatusOr<PollResponse> fresh = DecodePollResponse(frame);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(reused.request_id, fresh->request_id);
+    EXPECT_EQ(reused.has_snapshot, fresh->has_snapshot);
+    EXPECT_EQ(reused.has_delta, fresh->has_delta);
+    EXPECT_EQ(reused.query_complete, fresh->query_complete);
+    std::string reencoded;
+    EncodePollResponse(reused, &reencoded);
+    EXPECT_EQ(reencoded, frame) << "frame #" << i;
+
+    std::string damaged = frame;
+    const size_t byte = rng.NextBelow(damaged.size());
+    damaged[byte] = static_cast<char>(static_cast<uint8_t>(damaged[byte]) ^
+                                      (1u << rng.NextBelow(8)));
+    const Status into = DecodePollResponseInto(damaged, &reused);
+    EXPECT_FALSE(into.ok()) << "frame #" << i;
+    EXPECT_EQ(into.ToString(), DecodePollResponse(damaged).status().ToString())
+        << "frame #" << i;
+  }
 }
 
 }  // namespace

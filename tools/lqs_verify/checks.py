@@ -810,6 +810,10 @@ REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "DecodeSnapshotDelta",
     "MakeSnapshotDelta",
     "ApplySnapshotDelta",
+    # The reuse-in-place implementations behind DecodePollResponse and
+    # MakeSnapshotDelta: the transport's hot path calls them directly.
+    "DecodePollResponseInto",
+    "MakeSnapshotDeltaInto",
     "MonitorService::ComputeStatus",
     # The bounds-engine pipeline (PR 10): bound intervals feed the clamp,
     # so replay-order-independent reports require deterministic engines.
