@@ -1,17 +1,26 @@
 // Estimator-throughput benchmark: fresh-allocation vs workspace-reusing
 // estimation over whole recorded traces, at 1 / 8 / 64 concurrent sessions,
-// on TPC-H + TPC-DS plans under all four §5 presets.
+// on TPC-H + TPC-DS plans under all four §5 presets and their `_lp`
+// variants (bounds_engine = kIntersect, the engine lqsbench's local_lp_2k
+// runs).
 //
 // Both modes run in one invocation over the identical snapshot schedule:
 //
 //  - "fresh": ProgressEstimator with incremental=false, one EstimateInto
 //    per snapshot against a fresh Workspace and report — the paper's
 //    stateless §2.2 client, which reallocates every intermediate vector and
-//    re-derives every snapshot-independent quantity (catalog lookups,
-//    Appendix A coefficients, §4.6 weight terms) per poll.
+//    re-derives every finished operator's bounds, alpha and weight per
+//    poll. (It reads the same hoisted plan analysis as "reuse": the
+//    estimator has no path that re-reads the catalog per snapshot.)
 //  - "reuse": incremental=true estimators, one Workspace per session,
-//    EstimateInto() — the zero-allocation engine with hoisted plan analysis
-//    and finished-operator short-circuits.
+//    EstimateInto() — the zero-allocation engine with finished-operator
+//    short-circuits.
+//
+// A third pass over the same schedule times the bounds stage alone:
+// ComputeBoundsPipelineInto with the preset's engine on per-session
+// buffers, as lqsbench's traced replay does (bounds_ns_per_estimate; 0 for
+// presets that do not bound). ns_per_estimate and bounds_ns_per_estimate
+// are per estimate over the fastest of the cell's kReps replays.
 //
 // Reports are bit-identical across the two modes (also enforced by
 // tests/estimator_workspace_test.cc); this bench cross-checks
@@ -20,14 +29,16 @@
 //   $ ./build/bench/estimator_throughput
 //
 // All non-"BENCH " lines are deterministic; the trailing "BENCH {...}" JSON
-// lines carry the wall-clock measurements (estimates/sec per cell, overall
-// speedup, and a monitor-layer reports/sec pair).
+// lines carry the wall-clock measurements (estimates/sec and reuse-mode
+// ns per estimate per cell, overall speedup, and a monitor-layer
+// reports/sec pair), each with the machine it ran on.
 
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -60,12 +71,26 @@ struct ReplaySession {
   const ProgressEstimator* estimator = nullptr;
   ProgressEstimator::Workspace workspace;
   ProgressReport report;
+  CardinalityBounds bounds;
+  CardinalityBounds bounds_scratch;
 };
+
+enum class Mode { kFresh, kReuse, kBounds };
+
+/// The machine field every BENCH line carries.
+std::string MachineJson() {
+  return StringF("{\"nproc\":%u,\"compiler\":\"%s\"}",
+                 std::thread::hardware_concurrency(), __VERSION__);
+}
 
 struct CellResult {
   uint64_t estimates = 0;
   double wall_ms = 0;
   double progress_sum = 0;  ///< Σ query_progress — deterministic checksum
+  /// Fastest single replay of the schedule, per estimate: the host's
+  /// speed swings over tens of milliseconds, so the best of the reps is
+  /// the stable per-estimate cost (ns_per_estimate).
+  double best_rep_ns_per_estimate = 0;
   uint64_t alpha_freezes = 0;
   uint64_t weight_cache_hits = 0;
 };
@@ -77,8 +102,8 @@ struct CellResult {
 constexpr int kReps = 5;
 
 /// Replays every session's full trace, interleaved round-robin across
-/// sessions the way a monitor tick would, in one of the two modes.
-CellResult RunCell(std::vector<ReplaySession>* sessions, bool reuse) {
+/// sessions the way a monitor tick would, in one of the three modes.
+CellResult RunCell(std::vector<ReplaySession>* sessions, Mode mode) {
   CellResult cell;
   size_t max_len = 0;
   for (const ReplaySession& s : *sessions) {
@@ -86,19 +111,38 @@ CellResult RunCell(std::vector<ReplaySession>* sessions, bool reuse) {
   }
   const double start = NowWallMs();
   for (int rep = 0; rep < kReps; ++rep) {
+    const double rep_start = NowWallMs();
+    const uint64_t rep_first = cell.estimates;
     for (size_t t = 0; t < max_len; ++t) {
       for (ReplaySession& s : *sessions) {
         const auto& snaps = s.executed->result.trace.snapshots;
         if (t >= snaps.size()) continue;
-        if (reuse) {
+        if (mode == Mode::kReuse) {
           s.estimator->EstimateInto(snaps[t], &s.workspace, &s.report);
-        } else {
+        } else if (mode == Mode::kFresh) {
           ProgressEstimator::Workspace workspace;
           s.report = ProgressReport();
           s.estimator->EstimateInto(snaps[t], &workspace, &s.report);
+        } else {
+          const ProgressEstimator& e = *s.estimator;
+          ComputeBoundsPipelineInto(e.options().bounds_engine, e.plan(),
+                                    e.catalog(), snaps[t], &e.analysis(),
+                                    e.analysis(), nullptr, &s.bounds,
+                                    &s.bounds_scratch, nullptr);
+          cell.progress_sum += s.bounds.lower[0];
+          ++cell.estimates;
+          continue;
         }
         cell.progress_sum += s.report.query_progress;
         ++cell.estimates;
+      }
+    }
+    const uint64_t rep_estimates = cell.estimates - rep_first;
+    if (rep_estimates > 0) {
+      const double ns = (NowWallMs() - rep_start) * 1e6 /
+                        static_cast<double>(rep_estimates);
+      if (rep == 0 || ns < cell.best_rep_ns_per_estimate) {
+        cell.best_rep_ns_per_estimate = ns;
       }
     }
   }
@@ -146,12 +190,19 @@ int main() {
   }
 
   // The shared preset registry keeps the bench's configuration list and
-  // output labels in lockstep with the estimator.
+  // output labels in lockstep with the estimator; each preset is followed
+  // by its `_lp` (kIntersect) variant.
   std::vector<EstimatorConfig> presets;
   for (int i = 0; i < EstimatorOptions::kPresetCount; ++i) {
-    presets.push_back({EstimatorOptions::PresetName(i),
-                       EstimatorOptions::PresetByIndex(i)});
+    for (const char* suffix : {"", "_lp"}) {
+      const std::string name =
+          std::string(EstimatorOptions::PresetName(i)) + suffix;
+      EstimatorOptions options;
+      if (!EstimatorOptions::PresetFromName(name, &options)) return 1;
+      presets.push_back({name, options});
+    }
   }
+  const std::string machine = MachineJson();
   const std::vector<size_t> session_counts = {1, 8, 64};
 
   // Estimators cached per (plan, mode) within a preset, like the monitor's
@@ -189,8 +240,12 @@ int main() {
         reuse_sessions[i].estimator = reused.get();
       }
 
-      const CellResult fresh = RunCell(&fresh_sessions, /*reuse=*/false);
-      const CellResult reuse = RunCell(&reuse_sessions, /*reuse=*/true);
+      const CellResult fresh = RunCell(&fresh_sessions, Mode::kFresh);
+      const CellResult reuse = RunCell(&reuse_sessions, Mode::kReuse);
+      const CellResult bounds =
+          preset.options.bound_cardinality
+              ? RunCell(&reuse_sessions, Mode::kBounds)
+              : CellResult();
       total_fresh_ms += fresh.wall_ms;
       total_reuse_ms += reuse.wall_ms;
       // Bit-identity cross-check: identical schedule, so the progress sums
@@ -200,7 +255,7 @@ int main() {
           StringF("%.17g", fresh.progress_sum) ==
           StringF("%.17g", reuse.progress_sum);
       if (!identical) ++mismatched_cells;
-      std::printf("preset=%-8s sessions=%2zu estimates=%6llu "
+      std::printf("preset=%-11s sessions=%2zu estimates=%6llu "
                   "progress_sum=%.6f identical=%s\n",
                   preset.name.c_str(), num_sessions,
                   static_cast<unsigned long long>(reuse.estimates),
@@ -218,14 +273,16 @@ int main() {
           "\"sessions\":%zu,\"estimates\":%llu,"
           "\"estimates_per_sec_fresh\":%.0f,"
           "\"estimates_per_sec_reuse\":%.0f,\"speedup\":%.2f,"
+          "\"ns_per_estimate\":%.1f,\"bounds_ns_per_estimate\":%.1f,"
           "\"alpha_freezes\":%llu,\"weight_cache_hits\":%llu,"
-          "\"identical\":%s}\n",
+          "\"identical\":%s,\"machine\":%s}\n",
           preset.name.c_str(), num_sessions,
           static_cast<unsigned long long>(reuse.estimates), fresh_rate,
           reuse_rate, fresh_rate > 0 ? reuse_rate / fresh_rate : 0,
+          reuse.best_rep_ns_per_estimate, bounds.best_rep_ns_per_estimate,
           static_cast<unsigned long long>(reuse.alpha_freezes),
           static_cast<unsigned long long>(reuse.weight_cache_hits),
-          identical ? "true" : "false");
+          identical ? "true" : "false", machine.c_str());
     }
   }
 
@@ -258,18 +315,20 @@ int main() {
   bench_lines += StringF(
       "BENCH {\"bench\":\"estimator_throughput_monitor\",\"sessions\":64,"
       "\"estimates_per_sec_fresh\":%.0f,\"estimates_per_sec_reuse\":%.0f,"
-      "\"speedup\":%.2f}\n",
+      "\"speedup\":%.2f,\"machine\":%s}\n",
       monitor_rates[0], monitor_rates[1],
-      monitor_rates[0] > 0 ? monitor_rates[1] / monitor_rates[0] : 0);
+      monitor_rates[0] > 0 ? monitor_rates[1] / monitor_rates[0] : 0,
+      machine.c_str());
 
   const double overall =
       total_reuse_ms > 0 ? total_fresh_ms / total_reuse_ms : 0;
   bench_lines += StringF(
       "BENCH {\"bench\":\"estimator_throughput\",\"preset\":\"all\","
       "\"sessions\":0,\"fresh_wall_ms\":%.1f,\"reuse_wall_ms\":%.1f,"
-      "\"overall_speedup\":%.2f,\"mismatched_cells\":%llu}\n",
+      "\"overall_speedup\":%.2f,\"mismatched_cells\":%llu,"
+      "\"machine\":%s}\n",
       total_fresh_ms, total_reuse_ms, overall,
-      static_cast<unsigned long long>(mismatched_cells));
+      static_cast<unsigned long long>(mismatched_cells), machine.c_str());
   std::fputs(bench_lines.c_str(), stdout);
   if (mismatched_cells > 0) {
     std::fprintf(stderr,

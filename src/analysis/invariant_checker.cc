@@ -158,8 +158,9 @@ void ProgressInvariantChecker::ReportRangeViolations(
 void ProgressInvariantChecker::CheckBounds(const ProfileSnapshot& snapshot,
                                            const ProgressReport& report) {
   const Plan& plan = estimator_->plan();
-  const CardinalityBounds bounds =
-      ComputeBounds(plan, estimator_->catalog(), snapshot);
+  CardinalityBounds bounds;
+  ComputeBoundsInto(plan, snapshot, estimator_->analysis(), nullptr, &bounds,
+                    nullptr);
   for (int i = 0; i < plan.size(); ++i) {
     const double lb = bounds.lower[i];
     const double ub = bounds.upper[i];

@@ -64,38 +64,39 @@ struct BoundsEngineStats {
 /// Nodes on the inner side of a Nested Loops join have their per-execution
 /// bounds scaled by the outer side's upper bound, per the table's "when on
 /// inner side of join" entries. Operators that have reached end-of-stream
-/// have exact bounds (lower = upper = K_i).
+/// have exact bounds (lower = upper = K_i). Builds the catalog-aware plan
+/// analysis on every call: a convenience for tests and one-off checks, not
+/// for the per-snapshot path.
 CardinalityBounds ComputeBounds(const Plan& plan, const Catalog& catalog,
                                 const ProfileSnapshot& snapshot);
 
-/// Allocation-free form: writes into `out`, reusing its vectors' capacity
-/// (zero heap traffic once they have been sized by a first call).
-///
-/// `analysis` (optional) supplies hoisted catalog statics so table sizes
-/// are read from a flat array instead of the catalog's string-keyed map;
-/// pass one with has_catalog_statics for the hot path, or null to look the
-/// catalog up live. Results are identical either way.
-///
-/// `frozen` (optional, per node id) marks operators whose bound derivation
-/// may be skipped: an operator that is `finished` in THIS snapshot and is
-/// not under any NL-inner edge has exact bounds lower = upper = K_i, so
-/// the coefficient derivation (the Appendix A switch) is bypassed and the
-/// frozen value written directly. The caller must compute the mask from
-/// the snapshot being estimated — never from an earlier one — which keeps
-/// out-of-order replay exact. `derivations` (optional) counts the nodes
-/// whose coefficients WERE derived, so tests can assert that finished
-/// operators stop paying for re-derivation.
-/// LQS_NOALLOC: the Appendix A derivation sits on the per-snapshot hot
-/// path of every bounding estimator configuration.
-LQS_NOALLOC void ComputeBoundsInto(const Plan& plan, const Catalog& catalog,
-                                   const ProfileSnapshot& snapshot,
-                                   const PlanAnalysis* analysis,
-                                   const std::vector<uint8_t>* frozen,
-                                   CardinalityBounds* out,
-                                   uint64_t* derivations);
+// All three entry points below run the same single postorder pass over the
+// flat plan layout of `analysis`, which must be the catalog-aware
+// AnalyzePlan result for `plan` (it carries the hoisted table sizes and
+// degree norms, so no catalog is read per snapshot). Outputs are resized
+// to the plan, never cleared: every node is written, so a reused
+// CardinalityBounds performs zero heap traffic after its first call.
+//
+// `frozen` (optional, per node id) marks operators whose bound derivation
+// may be skipped: an operator that is `finished` in THIS snapshot and is
+// not under any NL-inner edge has exact bounds lower = upper = K_i, so the
+// coefficient derivation is bypassed and the frozen value written
+// directly. The caller must compute the mask from the snapshot being
+// estimated — never from an earlier one — which keeps out-of-order replay
+// exact.
 
-/// Engine #2: LpBound pessimistic upper bounds (arXiv:2502.05912). For
-/// every node, lower = K_i (the observed count) and upper is derived
+/// Engine #1 alone: the Appendix A intervals into `out`. `derivations`
+/// (optional) counts the nodes whose coefficients WERE derived, so tests
+/// can assert that finished operators stop paying for re-derivation.
+/// LQS_NOALLOC + LQS_DETERMINISTIC: the Appendix A derivation sits on the
+/// per-snapshot hot path of every bounding estimator configuration.
+LQS_NOALLOC LQS_DETERMINISTIC void ComputeBoundsInto(
+    const Plan& plan, const ProfileSnapshot& snapshot,
+    const PlanAnalysis& analysis, const std::vector<uint8_t>* frozen,
+    CardinalityBounds* out, uint64_t* derivations);
+
+/// Engine #2 alone: LpBound pessimistic upper bounds (arXiv:2502.05912).
+/// For every node, lower = K_i (the observed count) and upper is derived
 /// bottom-up from the exact degree-sequence norms hoisted into
 /// `analysis.node_statics` (FillDegreeNormStatics): an equijoin's output
 /// cannot exceed min over the valid caps of
@@ -106,8 +107,7 @@ LQS_NOALLOC void ComputeBoundsInto(const Plan& plan, const Catalog& catalog,
 /// Subtrees that may re-execute (rebind multiplier > 1 under a Nested
 /// Loops inner edge) are declined — upper = +infinity — because the norms
 /// cap a single execution only; Appendix A covers those nodes through the
-/// intersection. `analysis` must be the catalog-aware AnalyzePlan result
-/// for this plan. `frozen` follows the ComputeBoundsInto contract.
+/// intersection.
 /// LQS_NOALLOC + LQS_DETERMINISTIC: per-snapshot hot path, flat-array
 /// reads only (both statically checked by tools/lqs_verify).
 LQS_NOALLOC LQS_DETERMINISTIC void ComputeLpBoundsInto(
@@ -117,18 +117,17 @@ LQS_NOALLOC LQS_DETERMINISTIC void ComputeLpBoundsInto(
 
 /// The bounds-engine pipeline: runs the engine(s) selected by `kind` and
 /// writes the final per-node intervals into `out`.
-///  - kAppendixA: exactly ComputeBoundsInto (bit-identical output).
+///  - kAppendixA: exactly ComputeBoundsInto.
 ///  - kLpBound:   exactly ComputeLpBoundsInto.
-///  - kIntersect: both; per node lower = max of lowers, upper = min of
+///  - kIntersect: both, in the one pass (Appendix A into `out`, LpBound
+///    into `scratch`); then per node lower = max of lowers, upper = min of
 ///    uppers. An inverted intersection (lower > upper, an unsound-engine
 ///    symptom) resolves deterministically to the Appendix-A interval and
 ///    is counted in stats->intersection_inversions.
-/// `hoisted` is the optional Appendix-A statics argument (the
-/// ComputeBoundsInto `analysis` parameter, null to read the catalog live);
-/// `analysis` is the always-present catalog-aware analysis the LpBound
-/// engine reads. `scratch` holds the second engine's intervals between the
-/// two passes — per-workspace, so steady state stays allocation-free.
-/// `stats` (optional) accumulates the pipeline counters.
+/// `catalog` and `hoisted` are unused: every static the engines read is in
+/// `analysis`. They stay in the parameter list so existing callers keep
+/// compiling. `scratch` is per-workspace, so steady state stays
+/// allocation-free. `stats` (optional) accumulates the pipeline counters.
 LQS_NOALLOC LQS_DETERMINISTIC void ComputeBoundsPipelineInto(
     BoundsEngineKind kind, const Plan& plan, const Catalog& catalog,
     const ProfileSnapshot& snapshot, const PlanAnalysis* hoisted,

@@ -10,7 +10,6 @@
 #include "dmv/query_profile.h"
 #include "exec/plan.h"
 #include "lqs/bounds.h"
-#include "lqs/feedback.h"
 #include "lqs/pipeline.h"
 #include "storage/catalog.h"
 
@@ -56,9 +55,9 @@ struct EstimatorOptions {
   bool propagate_refinement = false;
   /// Engine mode, not an estimation technique: when false, disables the
   /// workspace engine's short-circuits (finished-operator bound freezing,
-  /// finished-pipeline alpha/weight freezing) and the hoisted catalog
-  /// statics, forcing the full stateless recomputation the paper's §2.2
-  /// client performs on every poll. Reports are bit-identical either way
+  /// finished-pipeline alpha/weight freezing), forcing the full per-poll
+  /// recomputation the paper's stateless §2.2 client performs. The hoisted
+  /// plan statics are always read. Reports are bit-identical either way
   /// (enforced by tests/estimator_workspace_test.cc); the flag exists so
   /// bench/estimator_throughput can measure both cost profiles in one run.
   bool incremental = true;
@@ -167,9 +166,6 @@ class ProgressEstimator {
    private:
     friend class ProgressEstimator;
     const ProgressEstimator* owner = nullptr;
-    std::vector<double> n_hat;
-    std::vector<double> alpha;
-    std::vector<double> weight;
     CardinalityBounds bounds;
     /// Second-engine scratch of the bounds pipeline (kIntersect holds the
     /// LpBound intervals here between the two passes).
@@ -182,7 +178,7 @@ class ProgressEstimator {
     std::vector<uint8_t> weight_frozen;
     std::vector<double> frozen_weight;
     /// Critical-path scratch (critical_path_only configurations).
-    std::vector<char> on_path;
+    std::vector<uint8_t> on_path;
     std::vector<double> cp_best;
     std::vector<int> cp_best_child;
   };
@@ -210,13 +206,11 @@ class ProgressEstimator {
   const Plan& plan() const { return *plan_; }
   const Catalog& catalog() const { return *catalog_; }
 
-  /// §7(b) extension: apply learned per-operator-type cost multipliers to
-  /// the pipeline weights. `feedback` must outlive the estimator; pass
-  /// nullptr to disable. Weight freezing is disabled while feedback is set
-  /// (multipliers may change between snapshots).
-  void SetCostFeedback(const CostFeedback* feedback) { feedback_ = feedback; }
-
  private:
+  // Every per-snapshot stage below reads only the snapshot and the flat
+  // plan layout of analysis_ (PlanAnalysis, DESIGN.md §11) — never a
+  // PlanNode or the catalog.
+
   /// Sizes the workspace buffers on first use and pins the workspace to
   /// this estimator; aborts on an owner/shape mismatch.
   LQS_ALLOC_OK(
@@ -226,66 +220,50 @@ class ProgressEstimator {
 
   /// Fills the per-call freeze masks from `snapshot` (no-op masks when
   /// options_.incremental is off).
-  void ComputeFreezeMasks(const ProfileSnapshot& snapshot, Workspace* ws)
-      const;
-
-  /// §4.3/§4.7-aware progress of a single driver node: fills (k, n) such
-  /// that k/n is the driver's progress contribution.
-  void DriverContribution(const ProfileSnapshot& snapshot, int node_id,
-                          const std::vector<double>& n_hat, double* k,
-                          double* n) const;
+  LQS_NOALLOC LQS_DETERMINISTIC void ComputeFreezeMasks(
+      const ProfileSnapshot& snapshot, Workspace* ws) const;
 
   /// One bottom-up refinement pass (§4.1/§4.4) given per-pipeline alphas.
-  void RefinePass(const ProfileSnapshot& snapshot,
-                  const std::vector<double>& alpha,
-                  const CardinalityBounds* bounds,
-                  std::vector<double>* n_hat) const;
+  LQS_NOALLOC LQS_DETERMINISTIC void RefinePass(
+      const ProfileSnapshot& snapshot, const std::vector<double>& alpha,
+      const CardinalityBounds* bounds, std::vector<double>* n_hat) const;
 
-  /// Per-node body of RefinePass (children's n_hat must already be final).
-  void RefineNode(const ProfileSnapshot& snapshot, const PlanNode& node,
-                  const std::vector<double>& alpha,
-                  const CardinalityBounds* bounds,
-                  std::vector<double>* n_hat) const;
+  /// Driver-based progress of each pipeline into `*alpha` (sized to the
+  /// pipelines); `include_inner` adds the §4.4(1) NL-inner drivers
+  /// (requires refined estimates for them). Fully-finished freezable
+  /// pipelines short-circuit to alpha = 1 (bit-identical: the
+  /// root-finished override forces the same value).
+  LQS_NOALLOC LQS_DETERMINISTIC void PipelineAlphasInto(
+      const ProfileSnapshot& snapshot, const std::vector<double>& n_hat,
+      bool include_inner, Workspace* ws, std::vector<double>* alpha) const;
 
-  /// Driver-based progress of each pipeline into ws->alpha;
-  /// `include_inner` adds the §4.4(1) NL-inner drivers (requires refined
-  /// estimates for them). Fully-finished freezable pipelines short-circuit
-  /// to alpha = 1 (bit-identical: the root-finished override below forces
-  /// the same value).
-  void PipelineAlphasInto(const ProfileSnapshot& snapshot,
-                          const std::vector<double>& n_hat,
-                          bool include_inner, Workspace* ws) const;
+  /// What LQS renders under each operator, into `*progress` (sized to the
+  /// plan).
+  LQS_NOALLOC LQS_DETERMINISTIC void OperatorProgressInto(
+      const ProfileSnapshot& snapshot, const std::vector<double>& n_hat,
+      std::vector<double>* progress) const;
 
-  double OperatorProgress(const ProfileSnapshot& snapshot, int node_id,
-                          const std::vector<double>& n_hat) const;
-
-  /// §4.6 pipeline weights into ws->weight: per-operator max(CPU, I/O)
-  /// re-evaluated at the refined cardinalities, with blocking-input work
-  /// attributed to the pipeline it temporally executes with. Weights of
-  /// pipelines whose contributing cardinalities are all frozen are served
-  /// from the workspace cache.
+  /// §4.6 pipeline weights into `*weight` (sized to the pipelines):
+  /// per-operator max(CPU, I/O) re-evaluated at the refined cardinalities,
+  /// with blocking-input work attributed to the pipeline it temporally
+  /// executes with. Weights of pipelines whose contributing cardinalities
+  /// are all frozen are served from the workspace cache.
   /// LQS_NOALLOC: the §4.6 weight path runs once per estimate inside
   /// EstimateInto and must stay heap-free on its own as well.
   LQS_NOALLOC void PipelineWeightsInto(const std::vector<double>& n_hat,
-                                       Workspace* ws) const;
+                                       Workspace* ws,
+                                       std::vector<double>* weight) const;
 
-  /// §4.6 cost terms of one operator at the refined cardinalities: the
+  /// §4.6 cost terms of node `id` at the refined cardinalities: the
   /// operator's own-pipeline max(CPU, I/O) share, and the blocking input
   /// phase attributed to its blocked child's pipeline.
-  double OwnCostMs(const PlanNode& node,
-                   const std::vector<double>& n_hat) const;
-  double BoundaryCostMs(const PlanNode& node,
-                        const std::vector<double>& n_hat) const;
-
-  /// Catalog row count for an uncorrelated full scan (> 0 required by the
-  /// callers), or -1 when unknown; hoisted lookup when incremental.
-  double FullScanRows(const PlanNode& node) const;
+  double OwnCostMs(int id, const std::vector<double>& n_hat) const;
+  double BoundaryCostMs(int id, const std::vector<double>& n_hat) const;
 
   const Plan* plan_;
   const Catalog* catalog_;
   EstimatorOptions options_;
   PlanAnalysis analysis_;
-  const CostFeedback* feedback_ = nullptr;
 };
 
 }  // namespace lqs

@@ -1,6 +1,8 @@
 #include "lqs/pipeline.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 #include "exec/cost_constants.h"
 
@@ -122,39 +124,48 @@ void FillPostorder(const PlanNode& node, std::vector<int>* postorder) {
 /// pipeline decomposition (see the field docs in pipeline.h).
 void FillFreezeAndWeightTopology(const Plan& plan, PlanAnalysis* a) {
   const int num_pipelines = a->pipeline_count();
-  a->pipeline_freezable.assign(num_pipelines, true);
+  a->pipeline_freezable.assign(num_pipelines, 1);
   for (int id = 0; id < plan.size(); ++id) {
     if (a->under_nlj_inner[id]) {
-      a->pipeline_freezable[a->pipeline_of_node[id]] = false;
+      a->pipeline_freezable[a->pipeline_of_node[id]] = 0;
     }
   }
 
-  a->weight_contribs.assign(num_pipelines, {});
-  a->weight_deps.assign(num_pipelines, {});
   // Own terms first (pipeline node order), then the boundary terms blocking
   // operators scatter into their blocked child's pipeline — deterministic,
   // so repeated analyses of one plan sum weights in one order.
+  std::vector<std::vector<std::pair<int, bool>>> contribs(num_pipelines);
   for (const PipelineInfo& p : a->pipelines) {
-    for (int id : p.nodes) {
-      a->weight_contribs[p.id].push_back({id, false});
-    }
+    for (int id : p.nodes) contribs[p.id].push_back({id, false});
   }
   for (const PipelineInfo& p : a->pipelines) {
     for (int id : p.nodes) {
       const PlanNode& node = plan.node(id);
       if (HasBoundaryCost(node.type) && !node.children.empty()) {
-        a->weight_contribs[a->pipeline_of_node[node.child(0)->id]].push_back(
+        contribs[a->pipeline_of_node[node.child(0)->id]].push_back(
             {id, true});
       }
     }
+  }
+  a->weight_begin.assign(1, 0);
+  a->weight_node.clear();
+  a->weight_boundary.clear();
+  for (const auto& terms : contribs) {
+    for (const auto& [id, boundary] : terms) {
+      a->weight_node.push_back(id);
+      a->weight_boundary.push_back(boundary ? 1 : 0);
+    }
+    a->weight_begin.push_back(static_cast<int>(a->weight_node.size()));
   }
 
   // A pipeline's weight reads refined cardinalities of its own nodes and of
   // their first children (n_in terms may cross a blocking boundary; probe /
   // inner join inputs stay within the pipeline).
+  a->weight_dep_begin.assign(1, 0);
+  a->weight_dep_ids.clear();
+  a->weight_freezable.assign(num_pipelines, 0);
   for (const PipelineInfo& p : a->pipelines) {
-    std::vector<int>& deps = a->weight_deps[p.id];
-    deps.push_back(p.id);
+    std::vector<int> deps = {p.id};
     for (int id : p.nodes) {
       const PlanNode& node = plan.node(id);
       if (!node.children.empty()) {
@@ -163,24 +174,140 @@ void FillFreezeAndWeightTopology(const Plan& plan, PlanAnalysis* a) {
     }
     std::sort(deps.begin(), deps.end());
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-  }
-  a->weight_freezable.assign(num_pipelines, false);
-  for (int p = 0; p < num_pipelines; ++p) {
     bool freezable = true;
-    for (int d : a->weight_deps[p]) {
-      freezable = freezable && a->pipeline_freezable[d];
-    }
-    a->weight_freezable[p] = freezable;
+    for (int d : deps) freezable = freezable && a->pipeline_freezable[d] != 0;
+    a->weight_freezable[p.id] = freezable ? 1 : 0;
+    a->weight_dep_ids.insert(a->weight_dep_ids.end(), deps.begin(),
+                             deps.end());
+    a->weight_dep_begin.push_back(static_cast<int>(a->weight_dep_ids.size()));
   }
 }
 
-void FillCatalogStatics(const Plan& plan, const Catalog& catalog,
+/// Top-down half of the flat layout: the may-stop-early flag and the NL
+/// rebind-multiplier chain, both of which depend on a node's ancestors.
+/// `chain` holds the outer child ids of the NL joins whose inner side
+/// contains `node`, outermost first.
+void MarkTopDown(const PlanNode& node, bool may_stop_early,
+                 std::vector<int>* chain,
+                 std::vector<std::vector<int>>* chains, PlanAnalysis* a) {
+  if (may_stop_early) a->flags[node.id] |= kFlagMayStopEarly;
+  (*chains)[node.id] = *chain;
+  for (size_t i = 0; i < node.children.size(); ++i) {
+    // Top abandons its child at N rows; a merge join may exhaust one input
+    // and abandon the other mid-stream.
+    const bool child_early = may_stop_early || node.type == OpType::kTop ||
+                             node.type == OpType::kMergeJoin;
+    if (node.type == OpType::kNestedLoopJoin && i == 1) {
+      // Semi/anti kinds abandon the inner stream after the first match.
+      const bool inner_early = child_early ||
+                               node.join_kind == JoinKind::kLeftSemi ||
+                               node.join_kind == JoinKind::kLeftAnti;
+      chain->push_back(node.child(0)->id);
+      MarkTopDown(*node.children[i], inner_early, chain, chains, a);
+      chain->pop_back();
+    } else {
+      MarkTopDown(*node.children[i], child_early, chain, chains, a);
+    }
+  }
+}
+
+/// Fills the flat per-node layout (see the field docs in pipeline.h).
+void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
+  const int n = plan.size();
+  const double inf = std::numeric_limits<double>::infinity();
+  a->op.assign(n, OpType::kTableScan);
+  a->join_kind.assign(n, JoinKind::kInner);
+  a->child_begin.assign(1, 0);
+  a->child_ids.clear();
+  a->est_rows.assign(n, 0.0);
+  a->top_n.assign(n, inf);
+  a->constant_row_count.assign(n, 0.0);
+  a->projection_count.assign(n, 1.0);
+  a->flags.assign(n, 0);
+  a->nlj_outer_child.assign(n, -1);
+  a->nlj_inner_child.assign(n, -1);
+  for (int id = 0; id < n; ++id) {
+    const PlanNode& node = plan.node(id);
+    const OpType t = node.type;
+    a->op[id] = t;
+    a->join_kind[id] = node.join_kind;
+    for (const auto& c : node.children) a->child_ids.push_back(c->id);
+    a->child_begin.push_back(static_cast<int>(a->child_ids.size()));
+    a->est_rows[id] = node.est_rows;
+    if (node.top_n >= 0) a->top_n[id] = static_cast<double>(node.top_n);
+    a->constant_row_count[id] =
+        static_cast<double>(node.constant_rows.size());
+    a->projection_count[id] =
+        static_cast<double>(std::max<size_t>(1, node.projections.size()));
+
+    uint16_t f = 0;
+    if ((t == OpType::kTableScan || t == OpType::kClusteredIndexScan ||
+         t == OpType::kColumnstoreScan) &&
+        node.pushed_predicate == nullptr && node.bitmap_source_id < 0) {
+      f |= kFlagPlainScan;
+    }
+    if (IsAggregate(t) && node.group_columns.empty()) {
+      f |= kFlagScalarAggregate;
+    }
+    if (IsExchange(t) || t == OpType::kSort || t == OpType::kComputeScalar ||
+        t == OpType::kBitmapCreate) {
+      f |= kFlagCardinalityPreserving;
+    }
+    if (t == OpType::kFilter || IsJoin(t)) f |= kFlagSelective;
+    if (IsScan(t)) f |= kFlagScan;
+    if (t == OpType::kColumnstoreScan) f |= kFlagColumnstore;
+    if (a->on_nlj_inner_side[id]) f |= kFlagOnNljInner;
+    if (a->under_nlj_inner[id]) f |= kFlagUnderNljInner;
+    if (a->separated_by_semi_blocking[id]) f |= kFlagSeparatedBySemiBlocking;
+    if (IsSortFamily(t) || t == OpType::kHashAggregate ||
+        t == OpType::kHashJoin || t == OpType::kEagerSpool) {
+      f |= kFlagBlockingForProgress;
+    }
+    a->flags[id] = f;
+
+    const int nlj = a->enclosing_nlj[id];
+    if (nlj >= 0) {
+      a->nlj_outer_child[id] = plan.node(nlj).child(0)->id;
+      a->nlj_inner_child[id] = plan.node(nlj).child(1)->id;
+    }
+  }
+
+  std::vector<int> chain;
+  std::vector<std::vector<int>> chains(n);
+  MarkTopDown(*plan.root, false, &chain, &chains, a);
+  a->mult_begin.assign(1, 0);
+  a->mult_chain.clear();
+  for (const std::vector<int>& c : chains) {
+    a->mult_chain.insert(a->mult_chain.end(), c.begin(), c.end());
+    a->mult_begin.push_back(static_cast<int>(a->mult_chain.size()));
+  }
+
+  a->driver_begin.assign(1, 0);
+  a->driver_ids.clear();
+  a->inner_driver_begin.assign(1, 0);
+  a->inner_driver_ids.clear();
+  a->pipeline_root.clear();
+  for (const PipelineInfo& p : a->pipelines) {
+    a->driver_ids.insert(a->driver_ids.end(), p.driver_nodes.begin(),
+                         p.driver_nodes.end());
+    a->driver_begin.push_back(static_cast<int>(a->driver_ids.size()));
+    a->inner_driver_ids.insert(a->inner_driver_ids.end(),
+                               p.inner_driver_nodes.begin(),
+                               p.inner_driver_nodes.end());
+    a->inner_driver_begin.push_back(
+        static_cast<int>(a->inner_driver_ids.size()));
+    a->pipeline_root.push_back(p.root_node);
+  }
+}
+
+void FillCatalogStatics(const Plan& plan, const Catalog* catalog,
                         PlanAnalysis* a) {
   a->node_statics.assign(plan.size(), NodeStatics{});
+  if (catalog == nullptr) return;  // every table unknown
   for (int id = 0; id < plan.size(); ++id) {
     const PlanNode& node = plan.node(id);
     NodeStatics& s = a->node_statics[id];
-    const Table* t = catalog.GetTable(node.table_name);
+    const Table* t = catalog->GetTable(node.table_name);
     if (t != nullptr) {
       s.table_rows = static_cast<double>(t->num_rows());
       s.bound_table_rows = s.table_rows;
@@ -197,7 +324,7 @@ void FillCatalogStatics(const Plan& plan, const Catalog& catalog,
         }
         break;
       case OpType::kColumnstoreScan: {
-        const ColumnstoreIndex* csi = catalog.GetColumnstore(node.table_name);
+        const ColumnstoreIndex* csi = catalog->GetColumnstore(node.table_name);
         if (csi != nullptr && t != nullptr) {
           s.scan_io_ms =
               static_cast<double>(csi->num_segments()) * cost::kIoSegmentMs;
@@ -209,15 +336,15 @@ void FillCatalogStatics(const Plan& plan, const Catalog& catalog,
       default:
         break;
     }
-    s.uncorrelated_full_scan =
+    const bool uncorrelated_full_scan =
         (node.type == OpType::kTableScan ||
          node.type == OpType::kClusteredIndexScan ||
          node.type == OpType::kIndexScan ||
          node.type == OpType::kColumnstoreScan) &&
         node.pushed_predicate == nullptr && node.bitmap_source_id < 0 &&
         !a->on_nlj_inner_side[id];
+    if (uncorrelated_full_scan) s.full_scan_rows = s.table_rows;
   }
-  a->has_catalog_statics = true;
 }
 
 /// Base-table origin of one operator output column, found by walking down
@@ -367,7 +494,6 @@ void FillDegreeNormStatics(const Plan& plan, const Catalog& catalog,
       s.lp_l2[side] = l2;
     }
   }
-  a->has_degree_norms = true;
 }
 
 }  // namespace
@@ -398,10 +524,9 @@ PlanAnalysis AnalyzePlan(const Plan& plan) {
 
 PlanAnalysis AnalyzePlan(const Plan& plan, const Catalog* catalog) {
   PlanAnalysis analysis = AnalyzePlan(plan);
-  if (catalog != nullptr) {
-    FillCatalogStatics(plan, *catalog, &analysis);
-    FillDegreeNormStatics(plan, *catalog, &analysis);
-  }
+  FillFlatLayout(plan, &analysis);
+  FillCatalogStatics(plan, catalog, &analysis);
+  if (catalog != nullptr) FillDegreeNormStatics(plan, *catalog, &analysis);
   return analysis;
 }
 

@@ -206,9 +206,15 @@ TEST_F(EstimatorAllocTest, SteadyStateEstimateIntoAllocatesNothing) {
     // Runtime side of the static contract (src/lqs/estimator.h, bounds.h):
     // the presets walk every annotated estimation path — bounding_only
     // drives the Appendix-A derivation, lqs drives the §4.6 weight path.
+    // The flat per-stage passes run inside every EstimateInto call.
     // LQS_NOALLOC_PAIRED: ProgressEstimator::EstimateInto
     // LQS_NOALLOC_PAIRED: ComputeBoundsInto
     // LQS_NOALLOC_PAIRED: ProgressEstimator::PipelineWeightsInto
+    // LQS_NOALLOC_PAIRED: ProgressEstimator::ComputeFreezeMasks
+    // LQS_NOALLOC_PAIRED: ProgressEstimator::PipelineAlphasInto
+    // LQS_NOALLOC_PAIRED: ProgressEstimator::RefinePass
+    // LQS_NOALLOC_PAIRED: ProgressEstimator::OperatorProgressInto
+    // LQS_NOALLOC_PAIRED: DriverShare
     EXPECT_EQ(window.count(), 0u)
         << "preset " << preset.name << ": steady-state EstimateInto "
         << "performed heap allocations";
@@ -250,8 +256,10 @@ TEST_F(EstimatorAllocTest, SteadyStateLpBoundEnginesAllocateNothing) {
     // Runtime side of the static contract (src/lqs/bounds.h): kLpBound
     // drives the ℓp-norm derivation alone, kIntersect additionally runs
     // the Appendix-A engine and the per-node interval intersection.
+    // Both engines share the one postorder pass.
     // LQS_NOALLOC_PAIRED: ComputeBoundsPipelineInto
     // LQS_NOALLOC_PAIRED: ComputeLpBoundsInto
+    // LQS_NOALLOC_PAIRED: BoundsPass
     EXPECT_EQ(window.count(), 0u)
         << "bounds engine " << BoundsEngineName(kind)
         << ": steady-state EstimateInto performed heap allocations";

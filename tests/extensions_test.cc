@@ -1,7 +1,6 @@
 #include "gtest/gtest.h"
 
 #include "lqs/estimator.h"
-#include "lqs/feedback.h"
 #include "lqs/metrics.h"
 #include "optimizer/annotate.h"
 #include "tests/test_util.h"
@@ -79,61 +78,6 @@ TEST_F(ExtensionsTest, PropagationScalesUnstartedParents) {
 TEST_F(ExtensionsTest, PropagationOffMatchesPaperDefault) {
   EXPECT_FALSE(EstimatorOptions::Lqs().propagate_refinement);
   EXPECT_FALSE(EstimatorOptions::DriverNodeRefined().propagate_refinement);
-}
-
-// ---------------------------------------------------------------------------
-// §7(b): cost feedback
-// ---------------------------------------------------------------------------
-
-TEST_F(ExtensionsTest, FeedbackMultipliersNearOneOnCalibratedEngine) {
-  // Our optimizer and executor share cost constants, so observed/predicted
-  // ratios should be close to 1 for high-volume operators.
-  CostFeedback feedback;
-  for (int i = 0; i < 10; ++i) {
-    Plan plan = Annotated(
-        HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"),
-                         {0}, {1}),
-                {2}, {Count()}));
-    auto result = Run(plan, 50.0);
-    feedback.Observe(plan, result.trace);
-  }
-  EXPECT_EQ(feedback.observations(), 10);
-  EXPECT_NEAR(feedback.Multiplier(OpType::kTableScan), 1.0, 0.5);
-  EXPECT_NEAR(feedback.Multiplier(OpType::kHashJoin), 1.0, 0.6);
-  // Unobserved types stay exactly 1.
-  EXPECT_DOUBLE_EQ(feedback.Multiplier(OpType::kMergeJoin), 1.0);
-}
-
-TEST_F(ExtensionsTest, FeedbackPlugsIntoEstimator) {
-  Plan plan = Annotated(
-      Sort(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
-                    {1}),
-           {2}));
-  auto result = Run(plan);
-  CostFeedback feedback;
-  feedback.Observe(plan, result.trace);
-  ProgressEstimator est(&plan, catalog_.get(), EstimatorOptions::Lqs());
-  est.SetCostFeedback(&feedback);
-  // Estimation still well-formed with feedback applied.
-  for (const auto& snap : result.trace.snapshots) {
-    ProgressReport r = EstimateFresh(est, snap);
-    EXPECT_GE(r.query_progress, 0.0);
-    EXPECT_LE(r.query_progress, 1.0);
-  }
-}
-
-TEST_F(ExtensionsTest, FeedbackSmoothingLimitsEarlyInfluence) {
-  CostFeedback feedback;
-  Plan plan = Annotated(Scan("t_big"));
-  auto result = Run(plan, 100.0);
-  // Corrupt the plan's cost estimate 100x to simulate gross model error.
-  plan.root->VisitMutable([](PlanNode& n) { n.est_cpu_ms /= 100; });
-  feedback.Observe(plan, result.trace);
-  // One observation: blend = 1/8, so the multiplier moves only partway and
-  // stays clamped.
-  double m = feedback.Multiplier(OpType::kTableScan);
-  EXPECT_GT(m, 1.0);
-  EXPECT_LE(m, 10.0);
 }
 
 }  // namespace

@@ -152,9 +152,13 @@ class PairingTest(unittest.TestCase):
     """The LQS_NOALLOC <-> runtime-test pairing, both directions, against
     the real headers and the real allocation test."""
 
+    # The two .cc files carry the LQS_NOALLOC file-local per-stage helpers
+    # of the flat estimator core (DriverShare, BoundsPass).
     HEADERS = [
         os.path.join(REPO_ROOT, "src", "lqs", "estimator.h"),
+        os.path.join(REPO_ROOT, "src", "lqs", "estimator.cc"),
         os.path.join(REPO_ROOT, "src", "lqs", "bounds.h"),
+        os.path.join(REPO_ROOT, "src", "lqs", "bounds.cc"),
         os.path.join(REPO_ROOT, "src", "monitor", "monitor_service.h"),
     ]
     PAIRING = os.path.join(REPO_ROOT, "tests", "estimator_alloc_test.cc")
