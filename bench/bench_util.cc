@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "common/stringf.h"
 
@@ -161,6 +162,11 @@ void PrintPerOperatorTable(const std::string& title,
     }
     std::printf("\n");
   }
+}
+
+std::string MachineJson() {
+  return StringF("{\"nproc\":%u,\"compiler\":\"%s\"}",
+                 std::thread::hardware_concurrency(), __VERSION__);
 }
 
 std::string RenderCurve(const std::vector<double>& values, int width) {

@@ -68,6 +68,10 @@ void PrintPerOperatorTable(const std::string& title,
                            const std::vector<EstimatorConfig>& configs,
                            bool use_time_metric);
 
+/// The `machine` object every BENCH line carries: the core count and the
+/// compiler the numbers came from, e.g. {"nproc":4,"compiler":"12.2.0"}.
+std::string MachineJson();
+
 /// ASCII sparkline of a progress curve (for figure-style benches).
 std::string RenderCurve(const std::vector<double>& values, int width = 60);
 

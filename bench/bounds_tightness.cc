@@ -92,6 +92,7 @@ int main() {
   int queries = 0;
 
   std::string bench_lines;
+  const std::string machine = MachineJson();
   char line[512];
   for (const Config& cfg : configs) {
     StatusOr<Workload> w = Status::NotFound("unset");
@@ -164,11 +165,11 @@ int main() {
                   "BENCH {\"bench\":\"bounds_tightness\",\"workload\":\"%s\","
                   "\"seed\":%llu,\"selectivity_error\":%.2f,\"queries\":%d,"
                   "\"appendix_error_time\":%.4f,"
-                  "\"intersect_error_time\":%.4f}\n",
+                  "\"intersect_error_time\":%.4f,\"machine\":%s}\n",
                   cfg.workload.c_str(),
                   static_cast<unsigned long long>(cfg.seed),
                   cfg.selectivity_error, wl_queries, wl_appendix / wl_queries,
-                  wl_intersect / wl_queries);
+                  wl_intersect / wl_queries, machine.c_str());
     bench_lines += line;
   }
   if (queries == 0) {
@@ -211,14 +212,15 @@ int main() {
                 "\"intersect_join_qerror_p50\":%.3f,"
                 "\"appendix_join_qerror_p90\":%.3f,"
                 "\"intersect_join_qerror_p90\":%.3f,"
-                "\"lp_tightenings\":%llu,\"intersection_inversions\":%llu}\n",
+                "\"lp_tightenings\":%llu,\"intersection_inversions\":%llu,"
+                "\"machine\":%s}\n",
                 queries, time_appendix / n, time_intersect / n,
                 Percentile(q_appendix.joins, 0.5),
                 Percentile(q_intersect.joins, 0.5),
                 Percentile(q_appendix.joins, 0.9),
                 Percentile(q_intersect.joins, 0.9),
                 static_cast<unsigned long long>(tightenings),
-                static_cast<unsigned long long>(inversions));
+                static_cast<unsigned long long>(inversions), machine.c_str());
   bench_lines += line;
   std::fputs(bench_lines.c_str(), stdout);
 

@@ -38,7 +38,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -76,12 +75,6 @@ struct ReplaySession {
 };
 
 enum class Mode { kFresh, kReuse, kBounds };
-
-/// The machine field every BENCH line carries.
-std::string MachineJson() {
-  return StringF("{\"nproc\":%u,\"compiler\":\"%s\"}",
-                 std::thread::hardware_concurrency(), __VERSION__);
-}
 
 struct CellResult {
   uint64_t estimates = 0;

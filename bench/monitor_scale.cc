@@ -28,8 +28,9 @@
 // "BENCH {...}" JSON lines carry the wall-clock measurements and are the
 // only nondeterministic output:
 //
-//   $ diff <(./monitor_scale --threads=1 | grep -v '^BENCH') \
-//          <(./monitor_scale --threads=8 | grep -v '^BENCH')
+//   $ ./monitor_scale --threads=1 | grep -v '^BENCH' > one.txt
+//   $ ./monitor_scale --threads=8 | grep -v '^BENCH' > eight.txt
+//   $ diff one.txt eight.txt
 
 #include <algorithm>
 #include <cstdio>
@@ -180,7 +181,7 @@ void PrintShardedBenchLine(const ShardedRun& run, const char* transport,
       "\"transport_bytes\":%llu,\"bytes_per_session_sec\":%.1f,"
       "\"deltas_applied\":%llu,\"delta_resyncs\":%llu,"
       "\"stale_reports\":%llu,\"max_poll_divisor\":%d,"
-      "\"all_done\":%s,\"monotone\":%s}\n",
+      "\"all_done\":%s,\"monotone\":%s,\"machine\":%s}\n",
       run.sessions, run.shards, transport, budget_ms,
       static_cast<unsigned long long>(run.stats.ticks),
       static_cast<unsigned long long>(run.stats.reports_computed),
@@ -191,7 +192,7 @@ void PrintShardedBenchLine(const ShardedRun& run, const char* transport,
       static_cast<unsigned long long>(run.stats.delta_resyncs),
       static_cast<unsigned long long>(run.stats.stale_reports),
       run.max_poll_divisor, run.all_done ? "true" : "false",
-      run.monotone ? "true" : "false");
+      run.monotone ? "true" : "false", MachineJson().c_str());
 }
 
 /// Checks one run against the sweep's hard acceptance criteria.
@@ -233,9 +234,10 @@ int RunSweep(const std::vector<Executed>& executed, int shards, int threads) {
         "BENCH {\"bench\":\"monitor_scale_delta_reduction\","
         "\"sessions\":%zu,\"shards\":%d,"
         "\"full_bytes_per_session_sec\":%.1f,"
-        "\"delta_bytes_per_session_sec\":%.1f,\"reduction\":%.2f}\n",
+        "\"delta_bytes_per_session_sec\":%.1f,\"reduction\":%.2f,"
+        "\"machine\":%s}\n",
         sessions, shards, full.BytesPerSessionSec(),
-        delta.BytesPerSessionSec(), reduction);
+        delta.BytesPerSessionSec(), reduction, MachineJson().c_str());
     if (reduction < 3.0) {
       std::fprintf(stderr,
                    "FAIL: %zu sessions: delta transport reduction %.2fx is "
@@ -383,7 +385,7 @@ int main(int argc, char** argv) {
   // too little work to time, so the measured parallel timeline is replayed
   // on fresh services until at least kMinReports reports have been served.
   // Throughput divides the summed reports by the summed tick wall time;
-  // the latency percentiles are the worst repetition's.
+  // the latency percentiles are over every repetition's samples.
   constexpr uint64_t kMinReports = 100000;
   std::vector<MonitorStats> measured;
   uint64_t reports = 0;
@@ -395,8 +397,8 @@ int main(int argc, char** argv) {
     if (measured.back().reports_computed == 0) break;  // nothing to time
     reports += measured.back().reports_computed;
   }
-  // Merge sums reports and wall time and maxes percentiles and ticks (per
-  // timeline); the per-service sizes are one repetition's.
+  // Merge sums reports and wall time, merges the latency histograms and
+  // maxes ticks (per timeline); the per-service sizes are one repetition's.
   MonitorStats stats = MonitorAggregator::Merge(measured);
   stats.sessions = measured.back().sessions;
   stats.estimators_cached = measured.back().estimators_cached;
@@ -407,13 +409,15 @@ int main(int argc, char** argv) {
       "\"repetitions\":%zu,\"ticks\":%llu,\"reports\":%llu,"
       "\"reports_per_sec\":%.0f,"
       "\"p50_estimate_ms\":%.4f,\"p95_estimate_ms\":%.4f,"
-      "\"p50_tick_ms\":%.4f,\"p95_tick_ms\":%.4f,\"deterministic\":%s}\n",
+      "\"p50_tick_ms\":%.4f,\"p95_tick_ms\":%.4f,\"deterministic\":%s,"
+      "\"machine\":%s}\n",
       stats.sessions, executed.size(), stats.estimators_cached,
       stats.num_threads, measured.size(),
       static_cast<unsigned long long>(stats.ticks),
       static_cast<unsigned long long>(stats.reports_computed),
-      stats.reports_per_sec, stats.p50_estimate_latency_ms,
-      stats.p95_estimate_latency_ms, stats.p50_tick_latency_ms,
-      stats.p95_tick_latency_ms, deterministic ? "true" : "false");
+      stats.reports_per_sec, stats.p50_estimate_latency_ms(),
+      stats.p95_estimate_latency_ms(), stats.p50_tick_latency_ms(),
+      stats.p95_tick_latency_ms(), deterministic ? "true" : "false",
+      MachineJson().c_str());
   return 0;
 }

@@ -148,9 +148,10 @@ int main() {
     char line[512];
     std::snprintf(line, sizeof(line),
                   "BENCH {\"bench\":\"table1_bounds_width\",\"engine\":"
-                  "\"%s\",\"log10_buckets\":[%s],\"violations\":%lld}\n",
+                  "\"%s\",\"log10_buckets\":[%s],\"violations\":%lld,"
+                  "\"machine\":%s}\n",
                   BoundsEngineName(kEngines[e]), buckets.c_str(),
-                  violations);
+                  violations, MachineJson().c_str());
     bench_lines += line;
   }
   std::fputs(bench_lines.c_str(), stdout);

@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -283,11 +282,10 @@ int main() {
       "\"bytes_per_snapshot\":%.1f,\"bytes_per_operator_row\":%.1f,"
       "\"delta_bytes_per_snapshot\":%.1f,"
       "\"roundtrip_byte_identical\":true,"
-      "\"machine\":{\"nproc\":%u,\"compiler\":\"%s\"}}\n",
+      "\"machine\":%s}\n",
       traces.size(), snapshot_count, operator_rows, encode_mb_per_sec,
       decode_mb_per_sec, decode_reuse_mb_per_sec, crc_mb_per_s,
       delta_ns_per_snapshot, bytes_per_snapshot, bytes_per_operator_row,
-      delta_bytes_per_snapshot, std::thread::hardware_concurrency(),
-      __VERSION__);
+      delta_bytes_per_snapshot, MachineJson().c_str());
   return 0;
 }

@@ -13,22 +13,11 @@ MonitorStats MonitorAggregator::Merge(
     merged.waiting += s.waiting;
     merged.done += s.done;
     merged.ticks = std::max(merged.ticks, s.ticks);
-    merged.reports_computed += s.reports_computed;
     merged.estimators_cached += s.estimators_cached;
     merged.num_threads += s.num_threads;
-    merged.p50_estimate_latency_ms =
-        std::max(merged.p50_estimate_latency_ms, s.p50_estimate_latency_ms);
-    merged.p95_estimate_latency_ms =
-        std::max(merged.p95_estimate_latency_ms, s.p95_estimate_latency_ms);
-    merged.max_estimate_latency_ms =
-        std::max(merged.max_estimate_latency_ms, s.max_estimate_latency_ms);
-    merged.estimate_wall_ms += s.estimate_wall_ms;
+    merged.estimate_latency_ms.Merge(s.estimate_latency_ms);
+    merged.tick_latency_ms.Merge(s.tick_latency_ms);
     merged.last_tick_estimate_ms += s.last_tick_estimate_ms;
-    merged.p50_tick_latency_ms =
-        std::max(merged.p50_tick_latency_ms, s.p50_tick_latency_ms);
-    merged.p95_tick_latency_ms =
-        std::max(merged.p95_tick_latency_ms, s.p95_tick_latency_ms);
-    merged.wall_ms += s.wall_ms;
     merged.remote_sessions += s.remote_sessions;
     merged.degraded_sessions += s.degraded_sessions;
     merged.transport_polls += s.transport_polls;
@@ -47,16 +36,7 @@ MonitorStats MonitorAggregator::Merge(
     merged.bounds_lp_tightenings += s.bounds_lp_tightenings;
     merged.bounds_intersection_inversions += s.bounds_intersection_inversions;
   }
-  // Throughputs recompute from merged sums; averaging per-shard rates would
-  // overweight idle shards.
-  if (merged.wall_ms > 0) {
-    merged.reports_per_sec = static_cast<double>(merged.reports_computed) /
-                             (merged.wall_ms / 1000.0);
-  }
-  if (merged.estimate_wall_ms > 0) {
-    merged.estimates_per_sec = static_cast<double>(merged.reports_computed) /
-                               (merged.estimate_wall_ms / 1000.0);
-  }
+  merged.DeriveRates();
   return merged;
 }
 

@@ -10,19 +10,18 @@ namespace lqs {
 /// Merges per-shard MonitorStats into one fleet view.
 ///
 /// Merge semantics, by field class:
-///  - event counters (reports, polls, bytes, accepted/rejected, ...) and
-///    session counts: summed;
+///  - event counters (polls, bytes, accepted/rejected, ...) and session
+///    counts: summed;
 ///  - ticks: the maximum — shards tick the same shared timeline, so the
 ///    fleet has ticked as often as its most-ticked shard (backpressure may
 ///    hold individual shards below that);
-///  - wall/estimate time: summed (the sharded monitor ticks shards
-///    sequentially on the driver, so shard wall times are disjoint) and
-///    throughput is recomputed from the merged sums, never averaged from
-///    per-shard rates;
-///  - latency percentiles: the worst (maximum) across shards. Percentiles
-///    of disjoint streams cannot be combined exactly from summaries alone,
-///    and for an SLO readout the conservative bound is the useful one —
-///    "every shard's p95 is at or below this".
+///  - latency histograms: merged exactly (bucket counts, count, sum and
+///    max add up), so fleet p50/p95 are the true quantiles over every
+///    shard's samples;
+///  - derived fields (reports, wall/estimate time, throughputs): recomputed
+///    from the merged histograms by MonitorStats::DeriveRates — wall times
+///    sum because the sharded monitor ticks shards sequentially on the
+///    driver, and rates are never averaged from per-shard rates.
 ///
 /// Concurrency: stateless (one static pure function over value snapshots),
 /// so it is safe from any thread by construction and carries no `locks`

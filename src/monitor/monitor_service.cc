@@ -24,7 +24,10 @@ double LatencyClockNowMs() {
 }  // namespace
 
 MonitorService::MonitorService(MonitorOptions options)
-    : options_(options), pool_(options.num_threads) {}
+    : options_(options), pool_(options.num_threads) {
+  MutexLock lock(&stats_mu_);
+  stats_.num_threads = pool_.num_threads();
+}
 
 MonitorService::~MonitorService() = default;
 
@@ -56,15 +59,14 @@ int MonitorService::AddSession(Session session) {
   // geometric capacity keeps registration amortized O(1).
   due_.running.reserve(due_.slots.capacity());
   due_.latencies.reserve(due_.slots.capacity());
-  if (session.estimator->options().bounds_engine !=
-      BoundsEngineKind::kAppendixA) {
-    ++due_.lp_sessions;
-  }
+  const bool lp_bounds = session.estimator->options().bounds_engine !=
+                         BoundsEngineKind::kAppendixA;
   sessions_.push_back(std::move(session));
   MutexLock lock(&stats_mu_);
-  sessions_registered_ = sessions_.size();
-  estimators_cached_ = estimator_cache_.size();
-  if (slot.remote) ++remote_sessions_;
+  stats_.sessions = sessions_.size();
+  stats_.estimators_cached = estimator_cache_.size();
+  if (slot.remote) ++stats_.remote_sessions;
+  if (lp_bounds) ++stats_.lp_bounds_sessions;
   return static_cast<int>(index);
 }
 
@@ -122,23 +124,7 @@ double MonitorService::HorizonMs() const {
 void MonitorService::SessionCounters::Tally(const Session& session,
                                             const SessionStatus& status) {
   if (status.degraded) ++degraded;
-  if (session.client != nullptr) {
-    const ClientStats& cs = session.client->stats();
-    transport.polls += cs.polls;
-    transport.attempts += cs.attempts;
-    transport.retries += cs.retries;
-    transport.transport_failures += cs.transport_failures;
-    transport.decode_errors += cs.decode_errors;
-    transport.accepted += cs.accepted;
-    transport.duplicates_ignored += cs.duplicates_ignored;
-    transport.regressions_rejected += cs.regressions_rejected;
-    transport.failed_polls += cs.failed_polls;
-    transport.stale_polls += cs.stale_polls;
-    transport.bytes_received += cs.bytes_received;
-    transport.deltas_applied += cs.deltas_applied;
-    transport.delta_resyncs += cs.delta_resyncs;
-    transport.request_id_mismatches += cs.request_id_mismatches;
-  }
+  if (session.client != nullptr) transport += session.client->stats();
   // Only non-default bounds engines ever make these nonzero.
   lp_tightenings += session.workspace.stats.lp_tightenings;
   lp_inversions += session.workspace.stats.intersection_inversions;
@@ -286,28 +272,33 @@ void MonitorService::Advance(double now_ms) {
   // only — the pool's lock is never held here, so the kMonitorStats <
   // kThreadPool rank order is trivially respected.
   MutexLock lock(&stats_mu_);
-  last_degraded_ = totals.degraded;
-  transport_totals_ = totals.transport;
-  lp_bounds_sessions_ = due_.lp_sessions;
-  bounds_lp_tightenings_ = totals.lp_tightenings;
-  bounds_intersection_inversions_ = totals.lp_inversions;
-  wall_ms_ += tick_wall_ms;
-  // LQS_ALLOC_OK("reservoir slots are reserved at construction")
-  tick_latencies_ms_.Add(tick_wall_ms);
-  ++ticks_;
-  last_waiting_ = due_.slots.size() - due_.admitted;
-  last_active_ = due_.running.size();
-  last_done_ = due_.retired;
-  last_tick_estimate_ms_ = 0;
+  stats_.waiting = due_.slots.size() - due_.admitted;
+  stats_.active = due_.running.size();
+  stats_.done = due_.retired;
+  stats_.degraded_sessions = totals.degraded;
+  const ClientStats& transport = totals.transport;
+  stats_.transport_polls = transport.polls;
+  stats_.transport_retries = transport.retries;
+  stats_.transport_failures = transport.transport_failures;
+  stats_.decode_errors = transport.decode_errors;
+  stats_.snapshots_accepted = transport.accepted;
+  stats_.duplicates_ignored = transport.duplicates_ignored;
+  stats_.regressions_rejected = transport.regressions_rejected;
+  stats_.stale_reports = transport.stale_polls;
+  stats_.transport_bytes = transport.bytes_received;
+  stats_.deltas_applied = transport.deltas_applied;
+  stats_.delta_resyncs = transport.delta_resyncs;
+  stats_.request_id_mismatches = transport.request_id_mismatches;
+  stats_.bounds_lp_tightenings = totals.lp_tightenings;
+  stats_.bounds_intersection_inversions = totals.lp_inversions;
+  ++stats_.ticks;
+  stats_.tick_latency_ms.Add(tick_wall_ms);
+  stats_.last_tick_estimate_ms = 0;
   for (size_t k = 0; k < computed; ++k) {
     const double latency = due_.latencies[k];
     if (latency < 0) continue;
-    ++reports_computed_;
-    // LQS_ALLOC_OK("reservoir slots are reserved at construction")
-    estimate_latencies_ms_.Add(latency);
-    estimate_wall_ms_ += latency;
-    last_tick_estimate_ms_ += latency;
-    max_estimate_latency_ms_ = std::max(max_estimate_latency_ms_, latency);
+    stats_.estimate_latency_ms.Add(latency);
+    stats_.last_tick_estimate_ms += latency;
   }
 }
 
@@ -316,37 +307,34 @@ std::vector<SessionStatus> MonitorService::Tick(double now_ms) {
   return due_.slots;
 }
 
-void MonitorService::RunToCompletion(
-    const std::function<void(double, const std::vector<SessionStatus>&)>&
-        render) {
-  const double horizon = HorizonMs();
-  const double tick = options_.tick_ms > 0
-                          ? options_.tick_ms
-                          : horizon / std::max(1, options_.ticks_per_horizon);
-  if (tick <= 0) {
+void RunTickSchedule(double horizon_ms, const MonitorOptions& options,
+                     const std::function<void(double)>& tick,
+                     const std::function<bool()>& all_done) {
+  const double width =
+      options.tick_ms > 0
+          ? options.tick_ms
+          : horizon_ms / std::max(1, options.ticks_per_horizon);
+  if (width <= 0) {
     // Degenerate horizon: every session is empty. One t=0 tick still
     // reports their kDone states; looping `t += 0` would never terminate
     // (the bug the old multi_query_monitor example had).
-    if (!sessions_.empty()) {
-      auto statuses = Tick(0);
-      if (render) render(0, statuses);
-    }
+    tick(0);
     return;
   }
-  // Tick times are indexed (t = i * tick), never accumulated (t += tick):
-  // accumulation compounds one rounding error per iteration, and over
-  // thousands of ticks with a binary-inexact tick width the drift exceeds
-  // the 1e-9 horizon slack — the final nominal tick lands past the horizon
-  // and is silently skipped, leaving every session one tick short of its
-  // completion report. One multiply per tick has a single rounding, so the
-  // i-th tick is the same double no matter how many preceded it.
+  // Tick times are indexed (t = i * width), never accumulated
+  // (t += width): accumulation compounds one rounding error per
+  // iteration, and over thousands of ticks with a binary-inexact width the
+  // drift exceeds the 1e-9 horizon slack — the final nominal tick lands
+  // past the horizon and is silently skipped, leaving every session one
+  // tick short of its completion report. One multiply per tick has a
+  // single rounding, so the i-th tick is the same double no matter how
+  // many preceded it.
   int64_t i = 1;
-  double t = tick;
+  double t = width;
   for (;; ++i) {
-    t = static_cast<double>(i) * tick;
-    if (t > horizon + 1e-9) break;
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
+    t = static_cast<double>(i) * width;
+    if (t > horizon_ms + 1e-9) break;
+    tick(t);
   }
   // Overtime: a lossy link may not have delivered some remote session's
   // final snapshot by the nominal horizon (drops, delays). Keep ticking a
@@ -354,13 +342,25 @@ void MonitorService::RunToCompletion(
   // opportunity. Local trace-backed sessions are always done at the
   // horizon, so a monitor without remote sessions never enters this loop
   // and its output is unchanged.
-  for (int extra = 0;
-       extra < options_.max_overtime_ticks && !AllSessionsDone(); ++extra) {
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
+  for (int extra = 0; extra < options.max_overtime_ticks && !all_done();
+       ++extra) {
+    tick(t);
     ++i;
-    t = static_cast<double>(i) * tick;
+    t = static_cast<double>(i) * width;
   }
+}
+
+void MonitorService::RunToCompletion(
+    const std::function<void(double, const std::vector<SessionStatus>&)>&
+        render) {
+  if (sessions_.empty()) return;
+  RunTickSchedule(
+      HorizonMs(), options_,
+      [&](double t) {
+        auto statuses = Tick(t);
+        if (render) render(t, statuses);
+      },
+      [this] { return AllSessionsDone(); });
 }
 
 ValidationReport MonitorService::FinalCheck() {
@@ -396,56 +396,23 @@ ValidationReport MonitorService::FinalCheck() {
   return merged;
 }
 
+void MonitorStats::DeriveRates() {
+  reports_computed = estimate_latency_ms.count();
+  estimate_wall_ms = estimate_latency_ms.sum();
+  wall_ms = tick_latency_ms.sum();
+  const double reports = static_cast<double>(reports_computed);
+  reports_per_sec = wall_ms > 0 ? reports / (wall_ms / 1000.0) : 0;
+  estimates_per_sec =
+      estimate_wall_ms > 0 ? reports / (estimate_wall_ms / 1000.0) : 0;
+}
+
 MonitorStats MonitorService::stats() const {
-  MutexLock lock(&stats_mu_);
   MonitorStats stats;
-  stats.sessions = sessions_registered_;
-  stats.active = last_active_;
-  stats.waiting = last_waiting_;
-  stats.done = last_done_;
-  stats.ticks = ticks_;
-  stats.reports_computed = reports_computed_;
-  stats.estimators_cached = estimators_cached_;
-  stats.num_threads = pool_.num_threads();
-  stats.wall_ms = wall_ms_;
-  if (wall_ms_ > 0) {
-    stats.reports_per_sec =
-        static_cast<double>(reports_computed_) / (wall_ms_ / 1000.0);
+  {
+    MutexLock lock(&stats_mu_);
+    stats = stats_;
   }
-  auto percentiles = [](const LatencyReservoir& values, double* p50,
-                        double* p95) {
-    if (values.empty()) return;
-    *p50 = values.Quantile(0.50);
-    *p95 = values.Quantile(0.95);
-  };
-  stats.estimate_wall_ms = estimate_wall_ms_;
-  stats.max_estimate_latency_ms = max_estimate_latency_ms_;
-  stats.last_tick_estimate_ms = last_tick_estimate_ms_;
-  if (estimate_wall_ms_ > 0) {
-    stats.estimates_per_sec = static_cast<double>(reports_computed_) /
-                              (estimate_wall_ms_ / 1000.0);
-  }
-  percentiles(estimate_latencies_ms_, &stats.p50_estimate_latency_ms,
-              &stats.p95_estimate_latency_ms);
-  percentiles(tick_latencies_ms_, &stats.p50_tick_latency_ms,
-              &stats.p95_tick_latency_ms);
-  stats.remote_sessions = remote_sessions_;
-  stats.degraded_sessions = last_degraded_;
-  stats.transport_polls = transport_totals_.polls;
-  stats.transport_retries = transport_totals_.retries;
-  stats.transport_failures = transport_totals_.transport_failures;
-  stats.decode_errors = transport_totals_.decode_errors;
-  stats.snapshots_accepted = transport_totals_.accepted;
-  stats.duplicates_ignored = transport_totals_.duplicates_ignored;
-  stats.regressions_rejected = transport_totals_.regressions_rejected;
-  stats.stale_reports = transport_totals_.stale_polls;
-  stats.transport_bytes = transport_totals_.bytes_received;
-  stats.deltas_applied = transport_totals_.deltas_applied;
-  stats.delta_resyncs = transport_totals_.delta_resyncs;
-  stats.request_id_mismatches = transport_totals_.request_id_mismatches;
-  stats.lp_bounds_sessions = lp_bounds_sessions_;
-  stats.bounds_lp_tightenings = bounds_lp_tightenings_;
-  stats.bounds_intersection_inversions = bounds_intersection_inversions_;
+  stats.DeriveRates();
   return stats;
 }
 

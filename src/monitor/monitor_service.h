@@ -18,7 +18,7 @@
 #include "dmv/query_profile.h"
 #include "exec/plan.h"
 #include "lqs/estimator.h"
-#include "monitor/latency_reservoir.h"
+#include "monitor/latency_histogram.h"
 #include "monitor/thread_pool.h"
 #include "remote/polling_client.h"
 #include "storage/catalog.h"
@@ -47,6 +47,17 @@ struct MonitorOptions {
   /// trace-backed sessions, which are always done at the horizon.
   int max_overtime_ticks = 256;
 };
+
+/// The RunToCompletion schedule shared by MonitorService and
+/// ShardedMonitor, for a monitor with at least one session. The tick width
+/// is options.tick_ms, or the horizon over options.ticks_per_horizon.
+/// Calls `tick(t)` at t = i * width for i = 1, 2, ... through `horizon_ms`,
+/// then at the following marks while `all_done()` is false, for at most
+/// options.max_overtime_ticks more. A zero width (every session empty)
+/// ticks once at t = 0 instead of looping forever on `t += 0`.
+void RunTickSchedule(double horizon_ms, const MonitorOptions& options,
+                     const std::function<void(double now_ms)>& tick,
+                     const std::function<bool()>& all_done);
 
 enum class SessionState {
   kWaiting,  ///< shared timeline has not reached the session's arrival yet
@@ -89,7 +100,9 @@ struct SessionStatus {
   int consecutive_failures = 0;
 };
 
-/// Aggregate counters across the life of one MonitorService.
+/// Aggregate counters across the life of one MonitorService — the one
+/// record the service writes (at registration and after each tick's
+/// barrier), publishes through stats() and MonitorAggregator merges.
 struct MonitorStats {
   size_t sessions = 0;
   /// Session states as of the most recent tick.
@@ -97,33 +110,19 @@ struct MonitorStats {
   size_t waiting = 0;
   size_t done = 0;
   uint64_t ticks = 0;
-  /// Progress reports computed (one per active session per tick).
-  uint64_t reports_computed = 0;
   /// Distinct (plan, catalog, options) estimators built — the cache keeps
   /// this below the session count when sessions share a plan.
   size_t estimators_cached = 0;
   int num_threads = 0;
-  /// Wall-clock percentiles of one EstimateInto (+ invariant checks) call.
-  double p50_estimate_latency_ms = 0;
-  double p95_estimate_latency_ms = 0;
-  /// Largest single estimate latency seen over the service's life.
-  double max_estimate_latency_ms = 0;
-  /// Total wall-clock time spent inside estimator calls (sum over all
-  /// sessions and ticks) and the resulting estimator-only throughput.
-  /// Contrast with reports_per_sec, which divides by whole-tick wall time
-  /// (fan-out, barrier and transport included).
-  double estimate_wall_ms = 0;
-  double estimates_per_sec = 0;
+  /// Wall-clock latency of each EstimateInto (+ invariant checks) call —
+  /// one sample per computed report.
+  LatencyHistogram estimate_latency_ms;
+  /// Wall-clock latency of each whole tick (all sessions, fan-out +
+  /// barrier).
+  LatencyHistogram tick_latency_ms;
   /// Sum of estimate latencies within the most recent tick — the per-tick
   /// estimation cost a dashboard would graph.
   double last_tick_estimate_ms = 0;
-  /// Wall-clock percentiles of one whole Tick() (all sessions, fan-out +
-  /// barrier).
-  double p50_tick_latency_ms = 0;
-  double p95_tick_latency_ms = 0;
-  /// Wall-clock time spent inside Tick() and the resulting throughput.
-  double wall_ms = 0;
-  double reports_per_sec = 0;
 
   // --- Remote transport aggregates (sum over endpoint-backed sessions) ---
   size_t remote_sessions = 0;
@@ -162,6 +161,34 @@ struct MonitorStats {
   /// nonzero means an engine produced an unsound interval somewhere — a
   /// red flag worth alerting on, hence surfaced here.
   uint64_t bounds_intersection_inversions = 0;
+
+  // --- Derived from the histograms by DeriveRates() ---
+  /// Progress reports computed (one per estimated session per tick).
+  uint64_t reports_computed = 0;
+  /// Total wall-clock time spent inside estimator calls and the resulting
+  /// estimator-only throughput. Contrast with reports_per_sec, which
+  /// divides by whole-tick wall time (fan-out, barrier and transport
+  /// included).
+  double estimate_wall_ms = 0;
+  double estimates_per_sec = 0;
+  /// Wall-clock time spent ticking and the resulting throughput.
+  double wall_ms = 0;
+  double reports_per_sec = 0;
+
+  /// Fills the derived fields above from the histograms. stats() and
+  /// MonitorAggregator::Merge both end with it, so a merged throughput is
+  /// recomputed from merged sums, never averaged from per-shard rates.
+  void DeriveRates();
+
+  double p50_estimate_latency_ms() const {
+    return estimate_latency_ms.Quantile(0.50);
+  }
+  double p95_estimate_latency_ms() const {
+    return estimate_latency_ms.Quantile(0.95);
+  }
+  double max_estimate_latency_ms() const { return estimate_latency_ms.max(); }
+  double p50_tick_latency_ms() const { return tick_latency_ms.Quantile(0.50); }
+  double p95_tick_latency_ms() const { return tick_latency_ms.Quantile(0.95); }
 };
 
 /// Owns many concurrently-monitored query sessions and replays their DMV
@@ -194,8 +221,8 @@ struct MonitorStats {
 /// verifies this on every run).
 ///
 /// Threading: register and tick from one driver thread (sessions_ and the
-/// estimator cache are driver-only by design). The aggregate counters are
-/// the exception — they live behind stats_mu_
+/// estimator cache are driver-only by design). The stats record is the
+/// exception — it lives behind stats_mu_
 /// (lock_rank::kMonitorStats), so stats() may be called from any thread
 /// while the driver ticks, the way a dashboard thread samples a live
 /// monitor. The discipline is compile-time checked via the annotations
@@ -286,9 +313,11 @@ class MonitorService {
   /// With check_invariants off, returns an empty (ok) report.
   ValidationReport FinalCheck();
 
-  /// Aggregate counters; percentiles/throughput are recomputed on call.
-  /// Safe to call from any thread concurrently with the driver's Tick().
-  MonitorStats stats() const LQS_EXCLUDES(stats_mu_);
+  /// A copy of the published stats record with its derived fields filled
+  /// in (MonitorStats::DeriveRates). Safe to call from any thread
+  /// concurrently with the driver's Tick().
+  /// LQS_NOALLOC: a dashboard samples it on every refresh.
+  LQS_NOALLOC MonitorStats stats() const LQS_EXCLUDES(stats_mu_);
 
  private:
   struct Session {
@@ -364,13 +393,13 @@ class MonitorService {
   /// Driver-thread-only by the documented threading contract: registration
   /// and Tick() happen on one thread; pool workers touch disjoint per-
   /// session slots between fan-out and barrier. stats() never reads these —
-  /// it reads the guarded mirror counters below.
-  // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
+  /// it reads the guarded stats_ record below.
+  // lqs-verify: guard-ok(driver-owned; stats() reads guarded stats_)
   std::vector<Session> sessions_;
-  // lqs-verify: guard-ok(driver-owned; stats() reads guarded mirrors)
+  // lqs-verify: guard-ok(driver-owned; stats() reads guarded stats_)
   std::map<EstimatorKey, std::unique_ptr<ProgressEstimator>> estimator_cache_;
 
-  /// The per-session counters stats() sums over the fleet.
+  /// The per-session counters each tick sums over the fleet.
   struct SessionCounters {
     size_t degraded = 0;
     ClientStats transport;
@@ -404,49 +433,20 @@ class MonitorService {
     /// retirement (they never change afterwards).
     size_t retired = 0;
     SessionCounters retired_counters;
-    /// Registered sessions running a non-default bounds engine, published
-    /// to lp_bounds_sessions_ by the next tick.
-    size_t lp_sessions = 0;
   };
-  // lqs-verify: guard-ok(ticking-thread-owned; stats() reads mirrors)
+  // lqs-verify: guard-ok(ticking-thread-owned; stats() reads stats_)
   DueSet due_;
 
-  /// Guards the counters behind stats(). The driver updates them at
+  /// Guards the published stats record. The driver writes it at
   /// registration and once per tick after the ParallelFor barrier (never
   /// while holding the pool's lock — kMonitorStats < kThreadPool keeps even
-  /// that nesting legal); any thread may read them through stats().
+  /// that nesting legal); any thread may copy it through stats(). Container
+  /// sizes are written into it rather than read from sessions_ and the
+  /// estimator cache, which are not readable mid-mutation from another
+  /// thread. Its derived fields stay zero here; stats() fills them.
   mutable Mutex stats_mu_{lock_rank::kMonitorStats,
                           "MonitorService::stats_mu_"};
-  /// Mirrors of driver-owned container sizes, so stats() can report them
-  /// without racing a concurrent RegisterSession (sessions_.push_back and
-  /// map::emplace are not readable mid-mutation from another thread).
-  size_t sessions_registered_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t estimators_cached_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t remote_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t ticks_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t reports_computed_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_active_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_waiting_ LQS_GUARDED_BY(stats_mu_) = 0;
-  size_t last_done_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double wall_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double estimate_wall_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double max_estimate_latency_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  double last_tick_estimate_ms_ LQS_GUARDED_BY(stats_mu_) = 0;
-  /// Latency distributions behind the published p50/p95: fixed-capacity
-  /// reservoir samples, not grow-forever vectors — a service that ticks
-  /// indefinitely must hold its stats in O(1) memory (and Add() must not
-  /// allocate inside the tick's budget, see latency_reservoir.h).
-  LatencyReservoir estimate_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
-  LatencyReservoir tick_latencies_ms_ LQS_GUARDED_BY(stats_mu_);
-  /// Transport aggregates, published after each tick's barrier: the
-  /// retired totals plus the running sessions' clients.
-  size_t last_degraded_ LQS_GUARDED_BY(stats_mu_) = 0;
-  ClientStats transport_totals_ LQS_GUARDED_BY(stats_mu_);
-  /// Bounds-engine aggregates, from the per-session estimator workspaces
-  /// under the same post-barrier quiescence rule.
-  size_t lp_bounds_sessions_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t bounds_lp_tightenings_ LQS_GUARDED_BY(stats_mu_) = 0;
-  uint64_t bounds_intersection_inversions_ LQS_GUARDED_BY(stats_mu_) = 0;
+  MonitorStats stats_ LQS_GUARDED_BY(stats_mu_);
 };
 
 }  // namespace lqs

@@ -126,35 +126,14 @@ std::vector<SessionStatus> ShardedMonitor::Tick(double now_ms) {
 void ShardedMonitor::RunToCompletion(
     const std::function<void(double, const std::vector<SessionStatus>&)>&
         render) {
-  const MonitorOptions& mo = options_.shard_options;
-  const double horizon = HorizonMs();
-  const double tick =
-      mo.tick_ms > 0 ? mo.tick_ms
-                     : horizon / std::max(1, mo.ticks_per_horizon);
-  if (tick <= 0) {
-    if (!session_homes_.empty()) {
-      auto statuses = Tick(0);
-      if (render) render(0, statuses);
-    }
-    return;
-  }
-  // Indexed, not accumulated, for the same drift reason as
-  // MonitorService::RunToCompletion.
-  int64_t i = 1;
-  double t = tick;
-  for (;; ++i) {
-    t = static_cast<double>(i) * tick;
-    if (t > horizon + 1e-9) break;
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
-  }
-  for (int extra = 0; extra < mo.max_overtime_ticks && !AllSessionsDone();
-       ++extra) {
-    auto statuses = Tick(t);
-    if (render) render(t, statuses);
-    ++i;
-    t = static_cast<double>(i) * tick;
-  }
+  if (session_homes_.empty()) return;
+  RunTickSchedule(
+      HorizonMs(), options_.shard_options,
+      [&](double t) {
+        auto statuses = Tick(t);
+        if (render) render(t, statuses);
+      },
+      [this] { return AllSessionsDone(); });
 }
 
 ValidationReport ShardedMonitor::FinalCheck() {

@@ -8,6 +8,24 @@
 
 namespace lqs {
 
+ClientStats& ClientStats::operator+=(const ClientStats& other) {
+  polls += other.polls;
+  attempts += other.attempts;
+  retries += other.retries;
+  transport_failures += other.transport_failures;
+  decode_errors += other.decode_errors;
+  accepted += other.accepted;
+  duplicates_ignored += other.duplicates_ignored;
+  regressions_rejected += other.regressions_rejected;
+  failed_polls += other.failed_polls;
+  stale_polls += other.stale_polls;
+  bytes_received += other.bytes_received;
+  deltas_applied += other.deltas_applied;
+  delta_resyncs += other.delta_resyncs;
+  request_id_mismatches += other.request_id_mismatches;
+  return *this;
+}
+
 PollingClient::PollingClient(std::unique_ptr<SnapshotEndpoint> endpoint,
                              PollingClientOptions options)
     : endpoint_(std::move(endpoint)),

@@ -104,6 +104,9 @@ struct ClientStats {
   /// or misrouted deliveries. They still flow through the recency filter
   /// (late deliveries are legitimate data), but are now observable.
   uint64_t request_id_mismatches = 0;
+
+  /// Adds every counter of `other` (a fleet total over sessions).
+  ClientStats& operator+=(const ClientStats& other);
 };
 
 /// Polls a SnapshotEndpoint on the virtual timeline with per-request

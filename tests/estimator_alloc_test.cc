@@ -326,12 +326,10 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
       (void)monitor.Tick(warm_ms * i / kWarmupTicks);
     }
     ASSERT_EQ(monitor.stats().waiting, 0u);
-    // 80 measured ticks x 8 sessions = 640 estimate-latency samples — past
-    // the 512-slot LatencyReservoir capacity, so the measured window covers
-    // both the reservoir's fill phase and its steady-state replacement
-    // path (a grow-forever vector here would charge reallocation against
-    // the budget; the reservoir must not allocate at all after
-    // construction).
+    // 80 measured ticks x 8 sessions = 640 estimate-latency samples land
+    // in the stats record's fixed-bucket histograms (a grow-forever vector
+    // here would charge reallocation against the budget; recording a
+    // latency must not allocate at all).
     constexpr int kMeasuredTicks = 80;
     const double step = (monitor.HorizonMs() - warm_ms) / (kMeasuredTicks + 1);
     double now = warm_ms;
@@ -350,6 +348,36 @@ TEST_F(EstimatorAllocTest, MonitorTickStaysWithinAllocationBudget) {
         << sessions << " sessions: steady-state monitor ticks allocated "
         << window.count() / kMeasuredTicks << " times per tick";
   }
+}
+
+TEST_F(EstimatorAllocTest, MonitorStatsReadAllocatesNothing) {
+  // A dashboard samples stats() on every refresh, so reading them must not
+  // cost a heap allocation: the record is copied out under the lock and
+  // its quantiles are bucket scans, never a sorted copy of the samples.
+  Plan plan = Annotated(Sort(Scan("t_big"), {2}));
+  ExecOptions exec;
+  exec.snapshot_interval_ms = 2.0;
+  auto result = MustExecute(plan, catalog_.get(), exec);
+  MonitorService monitor;
+  for (int i = 0; i < 8; ++i) {
+    monitor.RegisterSession("s" + std::to_string(i), &plan, catalog_.get(),
+                            &result.trace, 1.5 * i);
+  }
+  monitor.RunToCompletion(nullptr);
+  // The first read sizes this thread's lock-rank bookkeeping.
+  ASSERT_GT(monitor.stats().reports_computed, 0u);
+
+  double checksum = 0;
+  AllocationWindow window;
+  for (int i = 0; i < 100; ++i) {
+    const MonitorStats stats = monitor.stats();
+    checksum += stats.p50_estimate_latency_ms() +
+                stats.p95_estimate_latency_ms() +
+                stats.p95_tick_latency_ms() + stats.reports_per_sec;
+  }
+  // LQS_NOALLOC_PAIRED: MonitorService::stats
+  EXPECT_EQ(window.count(), 0u);
+  EXPECT_GT(checksum, 0.0);
 }
 
 TEST_F(EstimatorAllocTest, DeltaLoopbackClientAllocatesOnlyTheFramePerAttempt) {

@@ -1,9 +1,12 @@
 // MonitorService: session lifecycle on the shared timeline, the estimator
 // cache, the zero-horizon guard (the old example's infinite loop), the
 // determinism contract (1-thread and N-thread runs produce identical
-// results), aggregate stats, and the ThreadPool underneath it all.
+// results), aggregate stats and the latency histograms behind them, and the
+// ThreadPool underneath it all.
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -12,7 +15,9 @@
 
 #include "gtest/gtest.h"
 
+#include "common/rng.h"
 #include "common/stringf.h"
+#include "monitor/latency_histogram.h"
 #include "monitor/monitor_service.h"
 #include "monitor/thread_pool.h"
 #include "optimizer/annotate.h"
@@ -209,10 +214,97 @@ TEST_F(MonitorTest, StatsLatenciesAndThroughputArePopulated) {
   EXPECT_GT(stats.reports_computed, 0u);
   EXPECT_GT(stats.wall_ms, 0.0);
   EXPECT_GT(stats.reports_per_sec, 0.0);
-  EXPECT_GE(stats.p95_estimate_latency_ms, stats.p50_estimate_latency_ms);
-  EXPECT_GE(stats.p95_tick_latency_ms, stats.p50_tick_latency_ms);
-  EXPECT_GE(stats.p50_estimate_latency_ms, 0.0);
+  EXPECT_GE(stats.p95_estimate_latency_ms(), stats.p50_estimate_latency_ms());
+  EXPECT_GE(stats.max_estimate_latency_ms(), stats.p95_estimate_latency_ms());
+  EXPECT_GE(stats.p95_tick_latency_ms(), stats.p50_tick_latency_ms());
+  EXPECT_GE(stats.p50_estimate_latency_ms(), 0.0);
+  // The derived totals are the histograms' own count and sums.
+  EXPECT_EQ(stats.reports_computed, stats.estimate_latency_ms.count());
+  EXPECT_EQ(stats.tick_latency_ms.count(), stats.ticks);
+  EXPECT_DOUBLE_EQ(stats.wall_ms, stats.tick_latency_ms.sum());
   EXPECT_GT(stats.num_threads, 0);
+}
+
+/// Seeded latencies, log-uniform from 10 ns to 10 s, with zeros and a few
+/// values past the histogram's top bucket mixed in.
+std::vector<double> LatencyStream(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<double> values;
+  values.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double u = rng.NextDouble();
+    if (u < 0.02) {
+      values.push_back(0);
+    } else if (u < 0.025) {
+      values.push_back(std::ldexp(1.0, LatencyHistogram::kMaxExponent) *
+                       (1 + 100 * rng.NextDouble()));
+    } else {
+      values.push_back(1e-5 * std::pow(10.0, 9 * rng.NextDouble()));
+    }
+  }
+  return values;
+}
+
+TEST(LatencyHistogramTest, QuantilesStayWithinRelativeErrorOfExactSort) {
+  const double top = std::ldexp(1.0, LatencyHistogram::kMaxExponent);
+  for (uint64_t seed : {1, 2, 3, 4}) {
+    for (size_t n : {size_t{1}, size_t{7}, size_t{1000}, size_t{20000}}) {
+      std::vector<double> values = LatencyStream(seed, n);
+      LatencyHistogram h;
+      double sum = 0;
+      for (double v : values) {
+        h.Add(v);
+        sum += v;
+      }
+      std::sort(values.begin(), values.end());
+      EXPECT_EQ(h.count(), n);
+      EXPECT_DOUBLE_EQ(h.sum(), sum);
+      EXPECT_DOUBLE_EQ(h.max(), values.back());
+      EXPECT_DOUBLE_EQ(h.Quantile(1), h.max());
+      for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99,
+                       0.999, 1.0}) {
+        const double exact = values[static_cast<size_t>(
+            q * static_cast<double>(n - 1))];
+        const double got = h.Quantile(q);
+        if (exact >= top) {
+          EXPECT_DOUBLE_EQ(got, h.max()) << "q=" << q << " n=" << n;
+        } else {
+          EXPECT_LE(std::abs(got - exact),
+                    LatencyHistogram::kRelativeError * exact * (1 + 1e-12))
+              << "q=" << q << " n=" << n << " seed=" << seed
+              << " exact=" << exact << " got=" << got;
+        }
+      }
+    }
+  }
+  LatencyHistogram empty;
+  EXPECT_DOUBLE_EQ(empty.Quantile(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(empty.max(), 0.0);
+}
+
+TEST(LatencyHistogramTest, MergeEqualsOneHistogramOfBothStreams) {
+  const std::vector<double> first = LatencyStream(11, 5000);
+  const std::vector<double> second = LatencyStream(12, 300);
+  LatencyHistogram a;
+  LatencyHistogram b;
+  LatencyHistogram both;
+  for (double v : first) {
+    a.Add(v);
+    both.Add(v);
+  }
+  for (double v : second) {
+    b.Add(v);
+    both.Add(v);
+  }
+  a.Merge(b);
+  EXPECT_EQ(a.buckets(), both.buckets());
+  EXPECT_EQ(a.count(), both.count());
+  EXPECT_DOUBLE_EQ(a.max(), both.max());
+  // Only the sum's rounding order differs.
+  EXPECT_NEAR(a.sum(), both.sum(), 1e-9 * both.sum());
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(a.Quantile(q), both.Quantile(q)) << "q=" << q;
+  }
 }
 
 TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {

@@ -2,8 +2,9 @@
 // DESIGN.md §13):
 //  - SessionRouter is deterministic, balanced at thousand-session scale, and
 //    consistent: adding a shard moves only the keys the new shard captures;
-//  - MonitorAggregator sums event counters, maxes percentiles, and
-//    recomputes throughput from merged sums;
+//  - MonitorAggregator sums event counters, merges latency histograms
+//    exactly (fleet quantiles over every shard's samples), and recomputes
+//    throughput from merged sums;
 //  - with backpressure off, a ShardedMonitor reaches exactly the same
 //    per-session conclusions as one MonitorService over the same sessions
 //    (the determinism contract extends across the shard seam);
@@ -15,17 +16,20 @@
 //    the horizon instead of drifting past it;
 //  - every field of every status on every tick of a mixed local/lossy
 //    fleet matches a committed golden digest, for both monitors and any
-//    thread count, backpressure's held/stale path included;
+//    thread count, backpressure's held/stale path included, and with a
+//    dashboard thread sampling stats() and poll_divisor() meanwhile;
 //  - counters are conserved: fleet transport totals equal the per-session
 //    sums, state counts equal the returned vector's, and reports_computed
 //    equals the estimated (tick, session) pairs.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -99,27 +103,22 @@ TEST(SessionRouterTest, AddingAShardOnlyMovesKeysToTheNewShard) {
   EXPECT_LT(moved, kKeys / 4);
 }
 
-TEST(MonitorAggregatorTest, SumsCountersMaxesPercentiles) {
+TEST(MonitorAggregatorTest, SumsCountersMergesLatencyExactly) {
   MonitorStats a;
   a.sessions = 3;
   a.done = 3;
   a.ticks = 10;
-  a.reports_computed = 30;
-  a.p95_estimate_latency_ms = 0.5;
-  a.p95_tick_latency_ms = 2.0;
-  a.estimate_wall_ms = 6.0;
-  a.wall_ms = 100.0;
+  for (int i = 0; i < 30; ++i) a.estimate_latency_ms.Add(0.2);  // 6 ms
+  for (int i = 0; i < 10; ++i) a.tick_latency_ms.Add(10.0);     // 100 ms
   a.transport_bytes = 1000;
   a.deltas_applied = 7;
   MonitorStats b;
   b.sessions = 5;
   b.done = 5;
   b.ticks = 12;
-  b.reports_computed = 60;
-  b.p95_estimate_latency_ms = 0.25;
-  b.p95_tick_latency_ms = 4.0;
-  b.estimate_wall_ms = 3.0;
-  b.wall_ms = 100.0;
+  for (int i = 0; i < 60; ++i) b.estimate_latency_ms.Add(0.05);  // 3 ms
+  for (int i = 0; i < 10; ++i) b.tick_latency_ms.Add(1.0);
+  for (int i = 0; i < 2; ++i) b.tick_latency_ms.Add(45.0);  // 100 ms
   b.transport_bytes = 250;
   b.delta_resyncs = 2;
 
@@ -129,17 +128,48 @@ TEST(MonitorAggregatorTest, SumsCountersMaxesPercentiles) {
   // The fleet has ticked as often as its most-ticked shard.
   EXPECT_EQ(merged.ticks, 12u);
   EXPECT_EQ(merged.reports_computed, 90u);
-  // Percentiles merge as the conservative bound, not an average.
-  EXPECT_DOUBLE_EQ(merged.p95_estimate_latency_ms, 0.5);
-  EXPECT_DOUBLE_EQ(merged.p95_tick_latency_ms, 4.0);
   EXPECT_EQ(merged.transport_bytes, 1250u);
   EXPECT_EQ(merged.deltas_applied, 7u);
   EXPECT_EQ(merged.delta_resyncs, 2u);
+  // Quantiles are over the union of both shards' samples, not the max of
+  // the per-shard quantiles: 60 of the 90 estimates took 0.05 ms, so the
+  // fleet p50 is b's value although a's p50 is four times larger, and the
+  // p95 is a's. Of the 22 ticks, 10 took 1 ms, 10 took 10 ms and 2 took
+  // 45 ms: rank floor(0.5 * 21) = 10 is a 10 ms tick and the p95 rank 19
+  // is still one, though b alone would put its p95 at 45 ms.
+  const double tolerance = LatencyHistogram::kRelativeError;
+  EXPECT_NEAR(merged.p50_estimate_latency_ms(), 0.05, 0.05 * tolerance);
+  EXPECT_NEAR(merged.p95_estimate_latency_ms(), 0.2, 0.2 * tolerance);
+  EXPECT_DOUBLE_EQ(merged.max_estimate_latency_ms(), 0.2);
+  EXPECT_NEAR(merged.p50_tick_latency_ms(), 10.0, 10.0 * tolerance);
+  EXPECT_NEAR(merged.p95_tick_latency_ms(), 10.0, 10.0 * tolerance);
+  EXPECT_GT(b.p95_tick_latency_ms(), 40.0);
   // Throughput recomputes from merged sums: 90 reports / 200 ms wall.
   EXPECT_DOUBLE_EQ(merged.wall_ms, 200.0);
   EXPECT_DOUBLE_EQ(merged.reports_per_sec, 90.0 / 0.2);
   // Estimator-only throughput likewise: 90 reports / 9 ms estimating.
-  EXPECT_DOUBLE_EQ(merged.estimates_per_sec, 90.0 / 0.009);
+  EXPECT_NEAR(merged.estimate_wall_ms, 9.0, 1e-12);
+  EXPECT_NEAR(merged.estimates_per_sec, 90.0 / 0.009, 1e-6);
+}
+
+// The shape a max-of-percentiles merge gets wrong: one shard records 1000
+// samples at 1 us, the other 10 at 1 ms. The true fleet p50 is 1 us; the
+// larger of the two shard p50s is 1 ms.
+TEST(MonitorAggregatorTest, MergedMedianIsTheFleetMedianNotTheWorstShard) {
+  MonitorStats fast;
+  MonitorStats slow;
+  for (int i = 0; i < 1000; ++i) fast.estimate_latency_ms.Add(0.001);
+  for (int i = 0; i < 10; ++i) slow.estimate_latency_ms.Add(1.0);
+  const double worst_shard_p50 = std::max(fast.p50_estimate_latency_ms(),
+                                          slow.p50_estimate_latency_ms());
+  EXPECT_NEAR(worst_shard_p50, 1.0, LatencyHistogram::kRelativeError);
+
+  const MonitorStats merged = MonitorAggregator::Merge({fast, slow});
+  EXPECT_EQ(merged.reports_computed, 1010u);
+  EXPECT_NEAR(merged.p50_estimate_latency_ms(), 0.001,
+              0.001 * LatencyHistogram::kRelativeError);
+  EXPECT_LT(merged.p50_estimate_latency_ms(), worst_shard_p50 / 100);
+  EXPECT_DOUBLE_EQ(merged.max_estimate_latency_ms(), 1.0);
 }
 
 class ShardedMonitorTest : public ::testing::Test {
@@ -493,6 +523,72 @@ TEST_F(MixedFleetTest, ShardedStatusStreamUnderBackpressureMatchesGolden) {
     EXPECT_EQ(h, kShardedGolden)
         << threads << " thread(s): got 0x" << std::hex << h;
   }
+}
+
+// The dashboard-reader contract of sharded_monitor.h: stats() and
+// poll_divisor() are safe from any thread while the driver registers and
+// ticks. A reader thread samples both throughout a backpressured run (so
+// the divisors really move); the samples must be coherent and the served
+// statuses must still match the golden — reading never perturbs them.
+// Under TSan (CI) any unsynchronized access on either path is a failure.
+// The driver never waits on the reader mid-run: that handshake would order
+// the reader's accesses before the driver's and hide a missing lock.
+TEST_F(MixedFleetTest, ReaderThreadSamplesStatsWhileDriverTicks) {
+  ShardedMonitorOptions options;
+  options.num_shards = 3;
+  options.shard_options.num_threads = 4;
+  options.shard_options.tick_ms = kTickMs;
+  options.shard_tick_budget_ms = 1e-9;
+  ShardedMonitor monitor(options);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> samples{0};
+  std::atomic<uint64_t> incoherent{0};
+  std::atomic<int> max_divisor_seen{1};
+  std::thread reader([&] {
+    uint64_t last_ticks = 0;
+    uint64_t last_reports = 0;
+    while (!stop.load()) {
+      const MonitorStats stats = monitor.stats();
+      const bool coherent =
+          stats.ticks >= last_ticks && stats.reports_computed >= last_reports &&
+          stats.sessions <= static_cast<size_t>(kSessions) &&
+          stats.p50_estimate_latency_ms() <=
+              stats.p95_estimate_latency_ms() &&
+          stats.p95_estimate_latency_ms() <= stats.max_estimate_latency_ms();
+      if (!coherent) incoherent.fetch_add(1);
+      last_ticks = stats.ticks;
+      last_reports = stats.reports_computed;
+      for (int shard = 0; shard < options.num_shards; ++shard) {
+        const int divisor = monitor.poll_divisor(shard);
+        if (divisor < 1 || divisor > options.max_poll_divisor) {
+          incoherent.fetch_add(1);
+        }
+        if (divisor > max_divisor_seen.load()) max_divisor_seen.store(divisor);
+      }
+      samples.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+
+  RegisterFleet(&monitor);
+  uint64_t h = 1469598103934665603ull;
+  monitor.RunToCompletion(
+      [&](double t, const std::vector<SessionStatus>& statuses) {
+        h = MixTick(h, t, statuses);
+        std::this_thread::yield();  // let the reader in between ticks
+      });
+  // Let the reader see the finished fleet too: with an impossible budget
+  // every shard's divisor has climbed above 1 by then.
+  const uint64_t after_run = samples.load();
+  while (samples.load() < after_run + 2) std::this_thread::yield();
+  stop.store(true);
+  reader.join();
+
+  EXPECT_EQ(incoherent.load(), 0u);
+  EXPECT_GT(max_divisor_seen.load(), 1) << "backpressure never engaged";
+  EXPECT_TRUE(monitor.AllSessionsDone());
+  EXPECT_EQ(h, kShardedGolden) << "got 0x" << std::hex << h;
 }
 
 /// Runs `monitor` to completion, checking on every tick that the published
