@@ -138,13 +138,13 @@ void BM_ComputeBounds(benchmark::State& state) {
 }
 BENCHMARK(BM_ComputeBounds);
 
-void BM_AnalyzePlan(benchmark::State& state) {
+void BM_PlanAnalysis(benchmark::State& state) {
   Fixture& f = Fixture::Get();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(AnalyzePlan(*f.plan));
+    benchmark::DoNotOptimize(AnalyzePlan(*f.plan, f.workload.catalog.get()));
   }
 }
-BENCHMARK(BM_AnalyzePlan);
+BENCHMARK(BM_PlanAnalysis);
 
 void BM_EstimatorConstruction(benchmark::State& state) {
   Fixture& f = Fixture::Get();

@@ -139,7 +139,7 @@ fi
 # ---- 6. lqs-verify static analysis ----------------------------------------
 # Call-graph checks: Status results must be consulted, LQS_NOALLOC functions
 # must stay allocation-free through every non-virtual chain, and the src/
-# layer DAG must hold. The built-in frontend needs nothing beyond python3.
+# layer DAG must hold. lqs-verify needs nothing beyond python3.
 if command -v python3 >/dev/null 2>&1; then
   if ! python3 tools/lqs_verify/lqs_verify.py --root .; then
     fail "lqs-verify reported findings (detail above)"

@@ -159,8 +159,10 @@ void ProgressInvariantChecker::CheckBounds(const ProfileSnapshot& snapshot,
                                            const ProgressReport& report) {
   const Plan& plan = estimator_->plan();
   CardinalityBounds bounds;
-  ComputeBoundsInto(plan, snapshot, estimator_->analysis(), nullptr, &bounds,
-                    nullptr);
+  ComputeBoundsPipelineInto(BoundsEngineKind::kAppendixA, plan,
+                            estimator_->catalog(), snapshot, nullptr,
+                            estimator_->analysis(), nullptr, &bounds, nullptr,
+                            nullptr);
   for (int i = 0; i < plan.size(); ++i) {
     const double lb = bounds.lower[i];
     const double ub = bounds.upper[i];

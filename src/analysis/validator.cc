@@ -1,5 +1,6 @@
 #include "analysis/validator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -195,37 +196,63 @@ void PlanValidator::CheckAnnotations(const Plan& plan,
   });
 }
 
-void PlanValidator::CheckPipelines(const Plan& plan,
-                                   const PlanAnalysis& analysis,
+namespace {
+
+/// True when `begin` is a well-formed span index over `ids` for `count`
+/// entities: count + 1 non-decreasing offsets from 0 to ids.size().
+bool WellFormedSpan(const std::vector<int>& begin, const std::vector<int>& ids,
+                    int count) {
+  return static_cast<int>(begin.size()) == count + 1 && begin[0] == 0 &&
+         begin[count] == static_cast<int>(ids.size()) &&
+         std::is_sorted(begin.begin(), begin.end());
+}
+
+}  // namespace
+
+void PlanValidator::CheckPipelines(const Plan& plan, const PlanAnalysis& a,
                                    ValidationReport* report) const {
   const int n = plan.size();
-  const int num_pipelines = analysis.pipeline_count();
+  const int num_pipelines = a.pipeline_count();
 
-  if (static_cast<int>(analysis.pipeline_of_node.size()) != n) {
+  // Shape: every per-node array covers the plan and every per-pipeline
+  // span indexes its id list; nothing below is safe to read otherwise.
+  const size_t nodes = static_cast<size_t>(n);
+  if (a.pipeline_of_node.size() != nodes || a.flags.size() != nodes ||
+      a.nlj_outer_child.size() != nodes || a.nlj_inner_child.size() != nodes ||
+      num_pipelines == 0 ||
+      !WellFormedSpan(a.pipeline_node_begin, a.pipeline_nodes,
+                      num_pipelines) ||
+      !WellFormedSpan(a.driver_begin, a.driver_ids, num_pipelines) ||
+      !WellFormedSpan(a.inner_driver_begin, a.inner_driver_ids,
+                      num_pipelines) ||
+      !WellFormedSpan(a.child_pipeline_begin, a.child_pipeline_ids,
+                      num_pipelines)) {
     report->Add("pipeline.map_size", -1, -1,
-                StringF("pipeline_of_node has %zu entries for %d nodes",
-                        analysis.pipeline_of_node.size(), n));
+                StringF("flat layout malformed for %d nodes, %d pipelines",
+                        n, num_pipelines));
     return;
   }
 
-  // Partition: membership lists are disjoint, cover the plan, and agree
+  // Partition: membership spans are disjoint, cover the plan, and agree
   // with the node -> pipeline map.
-  std::vector<int> membership(static_cast<size_t>(n), -1);
-  for (const PipelineInfo& p : analysis.pipelines) {
-    for (int id : p.nodes) {
+  std::vector<int> membership(nodes, -1);
+  for (int p = 0; p < num_pipelines; ++p) {
+    for (int j = a.pipeline_node_begin[p]; j < a.pipeline_node_begin[p + 1];
+         ++j) {
+      const int id = a.pipeline_nodes[j];
       if (id < 0 || id >= n) {
-        report->Add("pipeline.member_range", id, p.id, "member id invalid");
+        report->Add("pipeline.member_range", id, p, "member id invalid");
         continue;
       }
       if (membership[id] != -1) {
-        report->Add("pipeline.partition", id, p.id,
+        report->Add("pipeline.partition", id, p,
                     StringF("node also in pipeline %d", membership[id]));
       }
-      membership[id] = p.id;
-      if (analysis.pipeline_of_node[id] != p.id) {
-        report->Add("pipeline.map_mismatch", id, p.id,
+      membership[id] = p;
+      if (a.pipeline_of_node[id] != p) {
+        report->Add("pipeline.map_mismatch", id, p,
                     StringF("pipeline_of_node says %d",
-                            analysis.pipeline_of_node[id]));
+                            a.pipeline_of_node[id]));
       }
     }
   }
@@ -235,54 +262,66 @@ void PlanValidator::CheckPipelines(const Plan& plan,
                   "node belongs to no pipeline");
     }
   }
+  // Every later check indexes pipelines through pipeline_of_node.
+  if (std::any_of(a.pipeline_of_node.begin(), a.pipeline_of_node.end(),
+                  [&](int p) { return p < 0 || p >= num_pipelines; })) {
+    return;
+  }
 
   // Parent edges, for boundary checks below.
-  std::vector<int> parent(static_cast<size_t>(n), -1);
+  std::vector<int> parent(nodes, -1);
   plan.root->Visit([&](const PlanNode& node) {
     for (const auto& c : node.children) parent[c->id] = node.id;
   });
 
-  for (const PipelineInfo& p : analysis.pipelines) {
+  for (int p = 0; p < num_pipelines; ++p) {
     // §3: every pipeline needs at least one standard driver — progress of a
     // driverless pipeline would be undefined (0/0).
-    if (p.driver_nodes.empty()) {
-      report->Add("pipeline.driver", -1, p.id,
+    if (a.driver_begin[p] == a.driver_begin[p + 1]) {
+      report->Add("pipeline.driver", -1, p,
                   "pipeline has no standard driver node");
     }
-    if (p.root_node < 0 || p.root_node >= n ||
-        analysis.pipeline_of_node[p.root_node] != p.id) {
-      report->Add("pipeline.root", p.root_node, p.id,
-                  "root_node not a member of its own pipeline");
+    const int root = a.pipeline_root[p];
+    if (root < 0 || root >= n || a.pipeline_of_node[root] != p) {
+      report->Add("pipeline.root", root, p,
+                  "root node not a member of its own pipeline");
     }
-    auto check_driver = [&](int d, const char* kind) {
-      if (d < 0 || d >= n || analysis.pipeline_of_node[d] != p.id) {
-        report->Add("pipeline.driver_member", d, p.id,
-                    std::string(kind) + " driver not in pipeline");
-        return;
-      }
-      for (const auto& c : plan.node(d).children) {
-        if (analysis.pipeline_of_node[c->id] == p.id) {
-          report->Add("pipeline.driver_source", d, p.id,
-                      std::string(kind) +
-                          " driver has a same-pipeline child (not a source)");
+    auto check_drivers = [&](const std::vector<int>& begin,
+                             const std::vector<int>& ids, const char* kind) {
+      for (int j = begin[p]; j < begin[p + 1]; ++j) {
+        const int d = ids[j];
+        if (d < 0 || d >= n || a.pipeline_of_node[d] != p) {
+          report->Add("pipeline.driver_member", d, p,
+                      std::string(kind) + " driver not in pipeline");
+          continue;
+        }
+        for (const auto& c : plan.node(d).children) {
+          if (a.pipeline_of_node[c->id] == p) {
+            report->Add("pipeline.driver_source", d, p,
+                        std::string(kind) +
+                            " driver has a same-pipeline child (not a "
+                            "source)");
+          }
         }
       }
     };
-    for (int d : p.driver_nodes) check_driver(d, "standard");
-    for (int d : p.inner_driver_nodes) check_driver(d, "inner");
+    check_drivers(a.driver_begin, a.driver_ids, "standard");
+    check_drivers(a.inner_driver_begin, a.inner_driver_ids, "inner");
 
-    // child_pipelines must be exactly the pipelines whose root's parent
+    // The child-pipeline span must list only pipelines whose root's parent
     // edge leaves this pipeline.
-    for (int c : analysis.pipelines[p.id].child_pipelines) {
+    for (int j = a.child_pipeline_begin[p]; j < a.child_pipeline_begin[p + 1];
+         ++j) {
+      const int c = a.child_pipeline_ids[j];
       if (c < 0 || c >= num_pipelines) {
-        report->Add("pipeline.child_range", -1, p.id,
+        report->Add("pipeline.child_range", -1, p,
                     StringF("child pipeline %d out of range", c));
         continue;
       }
-      const int child_root = analysis.pipelines[c].root_node;
-      if (parent[child_root] < 0 ||
-          analysis.pipeline_of_node[parent[child_root]] != p.id) {
-        report->Add("pipeline.child_link", child_root, p.id,
+      const int child_root = a.pipeline_root[c];
+      if (child_root < 0 || child_root >= n || parent[child_root] < 0 ||
+          a.pipeline_of_node[parent[child_root]] != p) {
+        report->Add("pipeline.child_link", child_root, p,
                     StringF("child pipeline %d's root is not below this "
                             "pipeline",
                             c));
@@ -295,42 +334,49 @@ void PlanValidator::CheckPipelines(const Plan& plan,
     for (size_t i = 0; i < node.children.size(); ++i) {
       const PlanNode& child = *node.children[i];
       const bool blocking = IsBlockingEdge(node, i);
-      const bool boundary = analysis.pipeline_of_node[node.id] !=
-                            analysis.pipeline_of_node[child.id];
+      const bool boundary =
+          a.pipeline_of_node[node.id] != a.pipeline_of_node[child.id];
       if (blocking != boundary) {
         report->Add("pipeline.blocking_edge", node.id, -1,
                     StringF("edge to child %d: IsBlockingEdge=%d but "
                             "pipeline boundary=%d",
                             child.id, blocking ? 1 : 0, boundary ? 1 : 0));
       }
-      if (boundary &&
-          analysis.pipelines[analysis.pipeline_of_node[child.id]].root_node !=
-              child.id) {
+      if (boundary && a.pipeline_root[a.pipeline_of_node[child.id]] !=
+                          child.id) {
         report->Add("pipeline.boundary_root", child.id, -1,
                     "blocked child is not the root of its pipeline");
       }
     }
   });
 
-  // NL-inner bookkeeping.
+  // NL-inner bookkeeping: kFlagOnNljInner is set exactly when the node
+  // names its enclosing join's children, and implies kFlagUnderNljInner.
   for (int id = 0; id < n; ++id) {
-    const bool inner = analysis.on_nlj_inner_side[id];
-    const int nlj = analysis.enclosing_nlj[id];
-    if (inner != (nlj >= 0)) {
+    const bool inner = (a.flags[id] & kFlagOnNljInner) != 0;
+    const bool under = (a.flags[id] & kFlagUnderNljInner) != 0;
+    const int outer_child = a.nlj_outer_child[id];
+    const int inner_child = a.nlj_inner_child[id];
+    if (inner != (outer_child >= 0) || inner != (inner_child >= 0) ||
+        (inner && !under)) {
       report->Add("pipeline.nlj_flags", id, -1,
-                  "on_nlj_inner_side and enclosing_nlj disagree");
+                  "kFlagOnNljInner, kFlagUnderNljInner and the enclosing "
+                  "join's children disagree");
       continue;
     }
-    if (nlj >= 0) {
-      if (nlj >= n || plan.node(nlj).type != OpType::kNestedLoopJoin) {
-        report->Add("pipeline.nlj_ref", id, -1,
-                    StringF("enclosing_nlj %d is not a Nested Loops join",
-                            nlj));
-      } else if (analysis.pipeline_of_node[nlj] !=
-                 analysis.pipeline_of_node[id]) {
-        report->Add("pipeline.nlj_pipeline", id, -1,
-                    "enclosing NL join lies in a different pipeline");
-      }
+    if (!inner) continue;
+    const int nlj = inner_child < n ? parent[inner_child] : -1;
+    if (outer_child >= n || nlj < 0 ||
+        plan.node(nlj).type != OpType::kNestedLoopJoin ||
+        plan.node(nlj).child(0)->id != outer_child ||
+        plan.node(nlj).child(1)->id != inner_child) {
+      report->Add("pipeline.nlj_ref", id, -1,
+                  StringF("children %d/%d are not a Nested Loops join's "
+                          "outer/inner inputs",
+                          outer_child, inner_child));
+    } else if (a.pipeline_of_node[nlj] != a.pipeline_of_node[id]) {
+      report->Add("pipeline.nlj_pipeline", id, -1,
+                  "enclosing NL join lies in a different pipeline");
     }
   }
 }

@@ -62,16 +62,20 @@ class ValidationReport {
 ///   - outer-column expressions appear only on Nested Loops inner sides;
 ///   - with a catalog: every referenced table exists.
 ///
-///  Analysis-level (Validate(plan, analysis)):
+///  Analysis-level (Validate(plan, analysis)), over the flat layout the
+///  estimator reads (PlanAnalysis spans, flag bits, NL child ids):
+///   - the per-node arrays cover the plan and every pipeline span is
+///     well-formed;
 ///   - pipelines partition the plan (every node in exactly one pipeline,
-///     membership lists consistent with pipeline_of_node);
+///     membership spans consistent with pipeline_of_node);
 ///   - every pipeline has at least one standard driver node, and driver
 ///     nodes are genuine pipeline sources (no same-pipeline children);
 ///   - blocking edges and pipeline boundaries coincide (§3.1.1): an edge
-///     starts a new pipeline iff IsBlockingEdge, and child_pipelines
-///     mirrors exactly those edges;
-///   - NL-inner flags are consistent (enclosing_nlj is a Nested Loops node
-///     in the same pipeline iff on_nlj_inner_side).
+///     starts a new pipeline iff IsBlockingEdge, and the child-pipeline
+///     spans list only pipelines rooted below such an edge;
+///   - NL-inner flags are consistent (kFlagOnNljInner iff
+///     nlj_outer_child / nlj_inner_child name the inputs of a Nested Loops
+///     join in the node's own pipeline).
 class PlanValidator {
  public:
   /// `catalog` may be null; table-existence checks are then skipped.
@@ -85,7 +89,7 @@ class PlanValidator {
  private:
   void CheckStructure(const Plan& plan, ValidationReport* report) const;
   void CheckAnnotations(const Plan& plan, ValidationReport* report) const;
-  void CheckPipelines(const Plan& plan, const PlanAnalysis& analysis,
+  void CheckPipelines(const Plan& plan, const PlanAnalysis& a,
                       ValidationReport* report) const;
 
   const Catalog* catalog_;

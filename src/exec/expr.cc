@@ -167,31 +167,33 @@ DataType Expr::ResultType(const Schema& input) const {
 }
 
 std::string Expr::ToString(const Schema* input) const {
+  // Strings are appended in place rather than built by operator+ chains,
+  // whose temporaries g++ -O3 misreports as overlapping copies (-Wrestrict).
+  auto binary = [&](const char* op) {
+    std::string out = "(";
+    out.append(left_->ToString(input)).append(" ").append(op).append(" ");
+    return out.append(right_->ToString(input)).append(")");
+  };
   switch (kind_) {
     case Kind::kColumn:
       if (input != nullptr &&
           column_index_ < static_cast<int>(input->num_columns())) {
         return input->column(column_index_).name;
       }
-      return "$" + std::to_string(column_index_);
+      return std::string("$").append(std::to_string(column_index_));
     case Kind::kOuterColumn:
-      return "outer.$" + std::to_string(column_index_);
+      return std::string("outer.$").append(std::to_string(column_index_));
     case Kind::kLiteral:
       return literal_.ToString();
     case Kind::kCompare:
-      return "(" + left_->ToString(input) + " " + CompareOpName(compare_op_) +
-             " " + right_->ToString(input) + ")";
+      return binary(CompareOpName(compare_op_));
     case Kind::kAnd:
-      return "(" + left_->ToString(input) + " AND " + right_->ToString(input) +
-             ")";
+      return binary("AND");
     case Kind::kOr:
-      return "(" + left_->ToString(input) + " OR " + right_->ToString(input) +
-             ")";
+      return binary("OR");
     case Kind::kArith: {
       const char* ops[] = {"+", "-", "*", "/", "%"};
-      return "(" + left_->ToString(input) + " " +
-             ops[static_cast<int>(arith_op_)] + " " + right_->ToString(input) +
-             ")";
+      return binary(ops[static_cast<int>(arith_op_)]);
     }
   }
   return "?";

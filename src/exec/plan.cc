@@ -140,6 +140,12 @@ const char* AggFuncName(AggSpec::Func func) {
   return "agg";
 }
 
+/// `prefix` followed by the decimal `index`: a generated column name
+/// (appended, see Expr::ToString).
+std::string IndexedName(const char* prefix, size_t index) {
+  return std::string(prefix).append(std::to_string(index));
+}
+
 Status DeriveSchema(PlanNode& node, const Catalog& catalog) {
   for (auto& c : node.children) {
     LQS_RETURN_IF_ERROR(DeriveSchema(*c, catalog));
@@ -186,7 +192,7 @@ Status DeriveSchema(PlanNode& node, const Catalog& catalog) {
                                                 : node.constant_rows[0].size();
       for (size_t i = 0; i < arity; ++i) {
         DataType t = node.constant_rows[0][i].type();
-        s.AddColumn({"c" + std::to_string(i), t});
+        s.AddColumn({IndexedName("c", i), t});
       }
       node.output_schema = s;
       break;
@@ -214,7 +220,7 @@ Status DeriveSchema(PlanNode& node, const Catalog& catalog) {
       for (const auto& p : node.projections) {
         LQS_RETURN_IF_ERROR(
             CheckExprInRange(p.get(), s.num_columns(), "projection"));
-        s.AddColumn({"expr" + std::to_string(i++),
+        s.AddColumn({IndexedName("expr", i++),
                      p->ResultType(node.child(0)->output_schema)});
       }
       node.output_schema = s;
@@ -259,9 +265,8 @@ Status DeriveSchema(PlanNode& node, const Catalog& catalog) {
       for (int g : node.group_columns) s.AddColumn(in.column(g));
       int i = 0;
       for (const auto& agg : node.aggregates) {
-        std::string name = std::string(AggFuncName(agg.func)) +
-                           std::to_string(i++);
-        s.AddColumn({name, AggResultType(agg, in)});
+        s.AddColumn({IndexedName(AggFuncName(agg.func), i++),
+                     AggResultType(agg, in)});
       }
       node.output_schema = s;
       break;

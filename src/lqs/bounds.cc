@@ -409,15 +409,10 @@ CardinalityBounds ComputeBounds(const Plan& plan, const Catalog& catalog,
                                 const ProfileSnapshot& snapshot) {
   const PlanAnalysis analysis = AnalyzePlan(plan, &catalog);
   CardinalityBounds bounds;
-  ComputeBoundsInto(plan, snapshot, analysis, nullptr, &bounds, nullptr);
+  ComputeBoundsPipelineInto(BoundsEngineKind::kAppendixA, plan, catalog,
+                            snapshot, nullptr, analysis, nullptr, &bounds,
+                            nullptr, nullptr);
   return bounds;
-}
-
-void ComputeBoundsInto(const Plan& plan, const ProfileSnapshot& snapshot,
-                       const PlanAnalysis& analysis,
-                       const std::vector<uint8_t>* frozen,
-                       CardinalityBounds* out, uint64_t* derivations) {
-  BoundsPass(plan, snapshot, analysis, frozen, out, nullptr, derivations);
 }
 
 const char* BoundsEngineName(BoundsEngineKind kind) {
@@ -430,13 +425,6 @@ const char* BoundsEngineName(BoundsEngineKind kind) {
       return "intersect";
   }
   return "unknown";
-}
-
-void ComputeLpBoundsInto(const Plan& plan, const ProfileSnapshot& snapshot,
-                         const PlanAnalysis& analysis,
-                         const std::vector<uint8_t>* frozen,
-                         CardinalityBounds* out) {
-  BoundsPass(plan, snapshot, analysis, frozen, nullptr, out, nullptr);
 }
 
 void ComputeBoundsPipelineInto(BoundsEngineKind kind, const Plan& plan,

@@ -58,76 +58,41 @@ struct BoundsEngineStats {
   uint64_t intersection_inversions = 0;
 };
 
-/// Computes the Appendix A bounds for every node given the current DMV
-/// snapshot. Table sizes come from the catalog (the client can always read
-/// them); K values from the snapshot; children's bounds compose bottom-up.
-/// Nodes on the inner side of a Nested Loops join have their per-execution
-/// bounds scaled by the outer side's upper bound, per the table's "when on
-/// inner side of join" entries. Operators that have reached end-of-stream
-/// have exact bounds (lower = upper = K_i). Builds the catalog-aware plan
-/// analysis on every call: a convenience for tests and one-off checks, not
-/// for the per-snapshot path.
+/// The Appendix A bounds for every node given the current DMV snapshot:
+/// ComputeBoundsPipelineInto with kAppendixA over a freshly built
+/// AnalyzePlan(plan, &catalog). Builds the plan analysis on every call: a
+/// convenience for tests and one-off checks, not for the per-snapshot path.
 CardinalityBounds ComputeBounds(const Plan& plan, const Catalog& catalog,
                                 const ProfileSnapshot& snapshot);
 
-// All three entry points below run the same single postorder pass over the
-// flat plan layout of `analysis`, which must be the catalog-aware
-// AnalyzePlan result for `plan` (it carries the hoisted table sizes and
-// degree norms, so no catalog is read per snapshot). Outputs are resized
-// to the plan, never cleared: every node is written, so a reused
-// CardinalityBounds performs zero heap traffic after its first call.
-//
-// `frozen` (optional, per node id) marks operators whose bound derivation
-// may be skipped: an operator that is `finished` in THIS snapshot and is
-// not under any NL-inner edge has exact bounds lower = upper = K_i, so the
-// coefficient derivation is bypassed and the frozen value written
-// directly. The caller must compute the mask from the snapshot being
-// estimated — never from an earlier one — which keeps out-of-order replay
-// exact.
-
-/// Engine #1 alone: the Appendix A intervals into `out`. `derivations`
-/// (optional) counts the nodes whose coefficients WERE derived, so tests
-/// can assert that finished operators stop paying for re-derivation.
-/// LQS_NOALLOC + LQS_DETERMINISTIC: the Appendix A derivation sits on the
-/// per-snapshot hot path of every bounding estimator configuration.
-LQS_NOALLOC LQS_DETERMINISTIC void ComputeBoundsInto(
-    const Plan& plan, const ProfileSnapshot& snapshot,
-    const PlanAnalysis& analysis, const std::vector<uint8_t>* frozen,
-    CardinalityBounds* out, uint64_t* derivations);
-
-/// Engine #2 alone: LpBound pessimistic upper bounds (arXiv:2502.05912).
-/// For every node, lower = K_i (the observed count) and upper is derived
-/// bottom-up from the exact degree-sequence norms hoisted into
-/// `analysis.node_statics` (FillDegreeNormStatics): an equijoin's output
-/// cannot exceed min over the valid caps of
-///   UB_outer * UB_inner                      (cross product),
-///   UB_inner * ℓ∞(outer key degrees),        (every inner row matches at
-///   UB_outer * ℓ∞(inner key degrees),         most ℓ∞ rows, and v.v.)
-///   ℓ2(outer) * ℓ2(inner)                    (Cauchy–Schwarz).
-/// Subtrees that may re-execute (rebind multiplier > 1 under a Nested
-/// Loops inner edge) are declined — upper = +infinity — because the norms
-/// cap a single execution only; Appendix A covers those nodes through the
-/// intersection.
-/// LQS_NOALLOC + LQS_DETERMINISTIC: per-snapshot hot path, flat-array
-/// reads only (both statically checked by tools/lqs_verify).
-LQS_NOALLOC LQS_DETERMINISTIC void ComputeLpBoundsInto(
-    const Plan& plan, const ProfileSnapshot& snapshot,
-    const PlanAnalysis& analysis, const std::vector<uint8_t>* frozen,
-    CardinalityBounds* out);
-
-/// The bounds-engine pipeline: runs the engine(s) selected by `kind` and
-/// writes the final per-node intervals into `out`.
-///  - kAppendixA: exactly ComputeBoundsInto.
-///  - kLpBound:   exactly ComputeLpBoundsInto.
-///  - kIntersect: both, in the one pass (Appendix A into `out`, LpBound
-///    into `scratch`); then per node lower = max of lowers, upper = min of
-///    uppers. An inverted intersection (lower > upper, an unsound-engine
-///    symptom) resolves deterministically to the Appendix-A interval and
-///    is counted in stats->intersection_inversions.
-/// `catalog` and `hoisted` are unused: every static the engines read is in
-/// `analysis`. They stay in the parameter list so existing callers keep
-/// compiling. `scratch` is per-workspace, so steady state stays
-/// allocation-free. `stats` (optional) accumulates the pipeline counters.
+/// The one per-snapshot bounds entry point: runs the engine(s) selected by
+/// `kind` in a single postorder pass over the flat layout of `analysis`
+/// (the AnalyzePlan result for `plan`, which carries the hoisted table
+/// sizes and degree norms) and writes the per-node intervals into `out`.
+///  - kAppendixA: children's bounds compose bottom-up, scaled on NL inner
+///    sides by the outer side's upper bound; end-of-stream is exact.
+///  - kLpBound: lower = K_i; an equijoin's upper is the min over the valid
+///    caps UB_outer*UB_inner, UB_inner*ℓ∞(outer keys), UB_outer*ℓ∞(inner
+///    keys) and ℓ2(outer)*ℓ2(inner) (Cauchy–Schwarz). Subtrees that may
+///    re-execute (rebind multiplier > 1) are declined with upper = +inf:
+///    the norms cap a single execution.
+///  - kIntersect: Appendix A into `out`, LpBound into `scratch`, then per
+///    node max of lowers / min of uppers; an inverted intersection keeps
+///    the Appendix-A interval and counts stats->intersection_inversions.
+/// Outputs are resized, never cleared (every node is written), so reused
+/// buffers allocate nothing after the first call.
+///
+/// `frozen` (optional, per node id) marks operators that are `finished` in
+/// THIS snapshot and not under any NL-inner edge: their bounds are exactly
+/// K_i, so derivation is skipped. The mask must come from the snapshot
+/// being estimated, never an earlier one, which keeps out-of-order replay
+/// exact. `stats` (optional) accumulates the counters; `derivations`
+/// counts Appendix A nodes whose coefficients were derived (kLpBound
+/// leaves it untouched). `catalog` and `hoisted` are unused and stay in
+/// the parameter list so existing callers keep compiling.
+///
+/// LQS_NOALLOC + LQS_DETERMINISTIC: per-snapshot hot path of every bounding
+/// estimator configuration (both statically checked by tools/lqs_verify).
 LQS_NOALLOC LQS_DETERMINISTIC void ComputeBoundsPipelineInto(
     BoundsEngineKind kind, const Plan& plan, const Catalog& catalog,
     const ProfileSnapshot& snapshot, const PlanAnalysis* hoisted,

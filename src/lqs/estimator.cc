@@ -724,7 +724,9 @@ void ProgressEstimator::EstimateInto(const ProfileSnapshot& snapshot,
       best[p] = weight[p];
       best_child[p] = -1;
       double best_sub = 0;
-      for (int c : analysis_.pipelines[p].child_pipelines) {
+      for (int j = analysis_.child_pipeline_begin[p];
+           j < analysis_.child_pipeline_begin[p + 1]; ++j) {
+        const int c = analysis_.child_pipeline_ids[j];
         if (best[c] > best_sub) {
           best_sub = best[c];
           best_child[p] = c;

@@ -171,7 +171,8 @@ class ProgressEstimator {
     /// LpBound intervals here between the two passes).
     CardinalityBounds lp_bounds;
     /// Per-call masks, recomputed from each snapshot (out-of-order safe).
-    std::vector<uint8_t> node_frozen;        ///< finished && !under_nlj_inner
+    /// finished && !kFlagUnderNljInner
+    std::vector<uint8_t> node_frozen;
     std::vector<uint8_t> pipeline_finished;  ///< all member ops finished
     /// Cross-call §4.6 weight cache; entries are only served when the
     /// current snapshot shows every contributing pipeline finished.

@@ -42,83 +42,118 @@ bool HasBoundaryCost(OpType type) {
   }
 }
 
+/// Per-pipeline lists the walk collects before Flatten() copies them into
+/// the PlanAnalysis spans.
+struct PipelineLists {
+  std::vector<int> nodes;
+  std::vector<int> drivers;
+  std::vector<int> inner_drivers;
+  std::vector<int> children;
+};
+
+/// Decomposes the plan into pipelines. Expects `out`'s pipeline_of_node,
+/// flags, nlj_outer_child and nlj_inner_child sized to the plan.
 struct Walker {
-  const Plan* plan;
   PlanAnalysis* out;
+  std::vector<PipelineLists> lists;
 
   int NewPipeline(int root_node) {
-    PipelineInfo info;
-    info.id = out->pipeline_count();
-    info.root_node = root_node;
-    out->pipelines.push_back(std::move(info));
-    return out->pipelines.back().id;
+    out->pipeline_root.push_back(root_node);
+    lists.emplace_back();
+    return out->pipeline_count() - 1;
   }
 
-  /// Assigns `node` (and its same-pipeline descendants) to pipeline `pid`.
-  /// `inner_nlj` is the id of the innermost NL join whose inner side we are
-  /// on (or -1). Returns true if the subtree below `node` *within this
-  /// pipeline* contains a semi-blocking operator on every... — rather: sets
-  /// separated_by_semi_blocking[n] = true when some same-pipeline descendant
-  /// edge between n and the pipeline leaves crosses a semi-blocking op.
-  /// `under_inner` tracks NL-inner edges across pipeline boundaries too —
-  /// it keeps propagating where `inner_nlj` resets, feeding the global
-  /// under_nlj_inner flag the incremental freezes are gated on.
-  bool Assign(const PlanNode& node, int pid, int inner_nlj, bool under_inner) {
+  /// Assigns `node` (and its same-pipeline descendants) to pipeline `pid`,
+  /// starting new pipelines below blocking edges, and appends its subtree
+  /// to `out->postorder`. `inner_nlj` is the innermost same-pipeline NL
+  /// join whose inner side we are on (or null). Returns true when some
+  /// same-pipeline edge between `node` and the pipeline's sources crosses a
+  /// semi-blocking operator (kFlagSeparatedBySemiBlocking). `under_inner`
+  /// tracks NL-inner edges across pipeline boundaries too — it keeps
+  /// propagating where `inner_nlj` resets, feeding kFlagUnderNljInner,
+  /// which the incremental freezes are gated on.
+  bool Assign(const PlanNode& node, int pid, const PlanNode* inner_nlj,
+              bool under_inner) {
     out->pipeline_of_node[node.id] = pid;
-    out->pipelines[pid].nodes.push_back(node.id);
-    out->on_nlj_inner_side[node.id] = inner_nlj >= 0;
-    out->enclosing_nlj[node.id] = inner_nlj;
-    out->under_nlj_inner[node.id] = under_inner;
+    lists[pid].nodes.push_back(node.id);
+    if (inner_nlj != nullptr) {
+      out->flags[node.id] |= kFlagOnNljInner;
+      out->nlj_outer_child[node.id] = inner_nlj->child(0)->id;
+      out->nlj_inner_child[node.id] = inner_nlj->child(1)->id;
+    }
+    if (under_inner) out->flags[node.id] |= kFlagUnderNljInner;
 
     bool has_same_pipeline_child = false;
     bool below_semi_blocking = false;
     for (size_t i = 0; i < node.children.size(); ++i) {
       const PlanNode& child = *node.children[i];
-      const bool child_under_inner =
-          under_inner || (node.type == OpType::kNestedLoopJoin && i == 1);
+      const bool nlj_inner_edge =
+          node.type == OpType::kNestedLoopJoin && i == 1;
+      const bool child_under_inner = under_inner || nlj_inner_edge;
       if (IsBlockingEdge(node, i)) {
-        int child_pid = NewPipeline(child.id);
-        out->pipelines[pid].child_pipelines.push_back(child_pid);
-        Assign(child, child_pid, -1, child_under_inner);
+        const int child_pid = NewPipeline(child.id);
+        lists[pid].children.push_back(child_pid);
+        Assign(child, child_pid, nullptr, child_under_inner);
         continue;
       }
       has_same_pipeline_child = true;
-      int child_inner_nlj = inner_nlj;
-      if (node.type == OpType::kNestedLoopJoin && i == 1) {
-        child_inner_nlj = node.id;
-      }
-      bool child_below_semi =
-          Assign(child, pid, child_inner_nlj, child_under_inner);
+      const bool child_below_semi =
+          Assign(child, pid, nlj_inner_edge ? &node : inner_nlj,
+                 child_under_inner);
       // A node is separated from the pipeline's sources by a semi-blocking
       // operator when a same-pipeline child either is semi-blocking itself
       // (for NLJ: only when it actually buffers) or is already separated.
-      bool child_is_semi =
+      const bool child_is_semi =
           IsExchange(child.type) ||
           (child.type == OpType::kNestedLoopJoin && child.buffered_outer);
       below_semi_blocking = below_semi_blocking || child_is_semi ||
                             child_below_semi;
     }
-    out->separated_by_semi_blocking[node.id] = below_semi_blocking;
+    if (below_semi_blocking) {
+      out->flags[node.id] |= kFlagSeparatedBySemiBlocking;
+    }
 
     if (!has_same_pipeline_child) {
       // A source of this pipeline: either a leaf access path or a blocking
       // operator whose output feeds this pipeline (e.g. a Sort). Inner-side
       // NLJ sources are recorded separately (§3.1.1 excludes them from the
       // driver set; §4.4(1) adds them back for semi-blocking plans).
-      if (inner_nlj >= 0) {
-        out->pipelines[pid].inner_driver_nodes.push_back(node.id);
+      if (inner_nlj != nullptr) {
+        lists[pid].inner_drivers.push_back(node.id);
       } else {
-        out->pipelines[pid].driver_nodes.push_back(node.id);
+        lists[pid].drivers.push_back(node.id);
       }
     }
+    out->postorder.push_back(node.id);
     return below_semi_blocking;
   }
-};
 
-void FillPostorder(const PlanNode& node, std::vector<int>* postorder) {
-  for (const auto& c : node.children) FillPostorder(*c, postorder);
-  postorder->push_back(node.id);
-}
+  /// Copies the collected lists into the PlanAnalysis spans. Each span is
+  /// sized once: regrowing it would strand freed blocks between long-lived
+  /// allocations, and a monitor builds one analysis per cached estimator.
+  void Flatten() {
+    auto flatten = [this](std::vector<int> PipelineLists::*list,
+                          std::vector<int>* begin, std::vector<int>* ids) {
+      size_t total = 0;
+      for (const PipelineLists& p : lists) total += (p.*list).size();
+      begin->assign(1, 0);
+      begin->reserve(lists.size() + 1);
+      ids->clear();
+      ids->reserve(total);
+      for (const PipelineLists& p : lists) {
+        ids->insert(ids->end(), (p.*list).begin(), (p.*list).end());
+        begin->push_back(static_cast<int>(ids->size()));
+      }
+    };
+    flatten(&PipelineLists::nodes, &out->pipeline_node_begin,
+            &out->pipeline_nodes);
+    flatten(&PipelineLists::drivers, &out->driver_begin, &out->driver_ids);
+    flatten(&PipelineLists::inner_drivers, &out->inner_driver_begin,
+            &out->inner_driver_ids);
+    flatten(&PipelineLists::children, &out->child_pipeline_begin,
+            &out->child_pipeline_ids);
+  }
+};
 
 /// Freeze topology and §4.6 weight attribution, derived once from the
 /// pipeline decomposition (see the field docs in pipeline.h).
@@ -126,25 +161,24 @@ void FillFreezeAndWeightTopology(const Plan& plan, PlanAnalysis* a) {
   const int num_pipelines = a->pipeline_count();
   a->pipeline_freezable.assign(num_pipelines, 1);
   for (int id = 0; id < plan.size(); ++id) {
-    if (a->under_nlj_inner[id]) {
+    if ((a->flags[id] & kFlagUnderNljInner) != 0) {
       a->pipeline_freezable[a->pipeline_of_node[id]] = 0;
     }
   }
 
-  // Own terms first (pipeline node order), then the boundary terms blocking
-  // operators scatter into their blocked child's pipeline — deterministic,
-  // so repeated analyses of one plan sum weights in one order.
+  // Own terms first (each pipeline's members, in pipeline_nodes order), then
+  // the boundary terms blocking operators scatter into their blocked child's
+  // pipeline — deterministic, so repeated analyses of one plan sum weights
+  // in one order.
+  const std::vector<int>& members = a->pipeline_nodes;
   std::vector<std::vector<std::pair<int, bool>>> contribs(num_pipelines);
-  for (const PipelineInfo& p : a->pipelines) {
-    for (int id : p.nodes) contribs[p.id].push_back({id, false});
+  for (int id : members) {
+    contribs[a->pipeline_of_node[id]].push_back({id, false});
   }
-  for (const PipelineInfo& p : a->pipelines) {
-    for (int id : p.nodes) {
-      const PlanNode& node = plan.node(id);
-      if (HasBoundaryCost(node.type) && !node.children.empty()) {
-        contribs[a->pipeline_of_node[node.child(0)->id]].push_back(
-            {id, true});
-      }
+  for (int id : members) {
+    const PlanNode& node = plan.node(id);
+    if (HasBoundaryCost(node.type) && !node.children.empty()) {
+      contribs[a->pipeline_of_node[node.child(0)->id]].push_back({id, true});
     }
   }
   a->weight_begin.assign(1, 0);
@@ -164,10 +198,11 @@ void FillFreezeAndWeightTopology(const Plan& plan, PlanAnalysis* a) {
   a->weight_dep_begin.assign(1, 0);
   a->weight_dep_ids.clear();
   a->weight_freezable.assign(num_pipelines, 0);
-  for (const PipelineInfo& p : a->pipelines) {
-    std::vector<int> deps = {p.id};
-    for (int id : p.nodes) {
-      const PlanNode& node = plan.node(id);
+  for (int p = 0; p < num_pipelines; ++p) {
+    std::vector<int> deps = {p};
+    for (int j = a->pipeline_node_begin[p]; j < a->pipeline_node_begin[p + 1];
+         ++j) {
+      const PlanNode& node = plan.node(members[j]);
       if (!node.children.empty()) {
         deps.push_back(a->pipeline_of_node[node.child(0)->id]);
       }
@@ -176,7 +211,7 @@ void FillFreezeAndWeightTopology(const Plan& plan, PlanAnalysis* a) {
     deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
     bool freezable = true;
     for (int d : deps) freezable = freezable && a->pipeline_freezable[d] != 0;
-    a->weight_freezable[p.id] = freezable ? 1 : 0;
+    a->weight_freezable[p] = freezable ? 1 : 0;
     a->weight_dep_ids.insert(a->weight_dep_ids.end(), deps.begin(),
                              deps.end());
     a->weight_dep_begin.push_back(static_cast<int>(a->weight_dep_ids.size()));
@@ -211,8 +246,10 @@ void MarkTopDown(const PlanNode& node, bool may_stop_early,
   }
 }
 
-/// Fills the flat per-node layout (see the field docs in pipeline.h).
-void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
+/// Fills the per-node operator layout, the flags that depend only on the
+/// node or its ancestors, and the NL rebind-multiplier chains (see the field
+/// docs in pipeline.h). The pipeline walk adds the remaining flag bits.
+void FillNodeLayout(const Plan& plan, PlanAnalysis* a) {
   const int n = plan.size();
   const double inf = std::numeric_limits<double>::infinity();
   a->op.assign(n, OpType::kTableScan);
@@ -220,6 +257,7 @@ void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
   a->child_begin.assign(1, 0);
   a->child_ids.clear();
   a->est_rows.assign(n, 0.0);
+  a->est_seed.assign(n, 0.0);
   a->top_n.assign(n, inf);
   a->constant_row_count.assign(n, 0.0);
   a->projection_count.assign(n, 1.0);
@@ -234,6 +272,7 @@ void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
     for (const auto& c : node.children) a->child_ids.push_back(c->id);
     a->child_begin.push_back(static_cast<int>(a->child_ids.size()));
     a->est_rows[id] = node.est_rows;
+    a->est_seed[id] = std::max(0.0, node.est_rows);
     if (node.top_n >= 0) a->top_n[id] = static_cast<double>(node.top_n);
     a->constant_row_count[id] =
         static_cast<double>(node.constant_rows.size());
@@ -256,20 +295,11 @@ void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
     if (t == OpType::kFilter || IsJoin(t)) f |= kFlagSelective;
     if (IsScan(t)) f |= kFlagScan;
     if (t == OpType::kColumnstoreScan) f |= kFlagColumnstore;
-    if (a->on_nlj_inner_side[id]) f |= kFlagOnNljInner;
-    if (a->under_nlj_inner[id]) f |= kFlagUnderNljInner;
-    if (a->separated_by_semi_blocking[id]) f |= kFlagSeparatedBySemiBlocking;
     if (IsSortFamily(t) || t == OpType::kHashAggregate ||
         t == OpType::kHashJoin || t == OpType::kEagerSpool) {
       f |= kFlagBlockingForProgress;
     }
     a->flags[id] = f;
-
-    const int nlj = a->enclosing_nlj[id];
-    if (nlj >= 0) {
-      a->nlj_outer_child[id] = plan.node(nlj).child(0)->id;
-      a->nlj_inner_child[id] = plan.node(nlj).child(1)->id;
-    }
   }
 
   std::vector<int> chain;
@@ -280,23 +310,6 @@ void FillFlatLayout(const Plan& plan, PlanAnalysis* a) {
   for (const std::vector<int>& c : chains) {
     a->mult_chain.insert(a->mult_chain.end(), c.begin(), c.end());
     a->mult_begin.push_back(static_cast<int>(a->mult_chain.size()));
-  }
-
-  a->driver_begin.assign(1, 0);
-  a->driver_ids.clear();
-  a->inner_driver_begin.assign(1, 0);
-  a->inner_driver_ids.clear();
-  a->pipeline_root.clear();
-  for (const PipelineInfo& p : a->pipelines) {
-    a->driver_ids.insert(a->driver_ids.end(), p.driver_nodes.begin(),
-                         p.driver_nodes.end());
-    a->driver_begin.push_back(static_cast<int>(a->driver_ids.size()));
-    a->inner_driver_ids.insert(a->inner_driver_ids.end(),
-                               p.inner_driver_nodes.begin(),
-                               p.inner_driver_nodes.end());
-    a->inner_driver_begin.push_back(
-        static_cast<int>(a->inner_driver_ids.size()));
-    a->pipeline_root.push_back(p.root_node);
   }
 }
 
@@ -342,7 +355,7 @@ void FillCatalogStatics(const Plan& plan, const Catalog* catalog,
          node.type == OpType::kIndexScan ||
          node.type == OpType::kColumnstoreScan) &&
         node.pushed_predicate == nullptr && node.bitmap_source_id < 0 &&
-        !a->on_nlj_inner_side[id];
+        (a->flags[id] & kFlagOnNljInner) == 0;
     if (uncorrelated_full_scan) s.full_scan_rows = s.table_rows;
   }
 }
@@ -498,33 +511,18 @@ void FillDegreeNormStatics(const Plan& plan, const Catalog& catalog,
 
 }  // namespace
 
-PlanAnalysis AnalyzePlan(const Plan& plan) {
+PlanAnalysis AnalyzePlan(const Plan& plan, const Catalog* catalog) {
   PlanAnalysis analysis;
   const int n = plan.size();
+  FillNodeLayout(plan, &analysis);
+
   analysis.pipeline_of_node.assign(n, -1);
-  analysis.separated_by_semi_blocking.assign(n, false);
-  analysis.on_nlj_inner_side.assign(n, false);
-  analysis.enclosing_nlj.assign(n, -1);
-  analysis.under_nlj_inner.assign(n, false);
-
-  Walker walker{&plan, &analysis};
-  int root_pid = walker.NewPipeline(plan.root->id);
-  walker.Assign(*plan.root, root_pid, -1, false);
-
   analysis.postorder.reserve(n);
-  FillPostorder(*plan.root, &analysis.postorder);
+  Walker walker{&analysis, {}};
+  const int root_pid = walker.NewPipeline(plan.root->id);
+  walker.Assign(*plan.root, root_pid, nullptr, false);
+  walker.Flatten();
   FillFreezeAndWeightTopology(plan, &analysis);
-
-  analysis.est_seed.resize(n);
-  for (int i = 0; i < n; ++i) {
-    analysis.est_seed[i] = std::max(0.0, plan.node(i).est_rows);
-  }
-  return analysis;
-}
-
-PlanAnalysis AnalyzePlan(const Plan& plan, const Catalog* catalog) {
-  PlanAnalysis analysis = AnalyzePlan(plan);
-  FillFlatLayout(plan, &analysis);
   FillCatalogStatics(plan, catalog, &analysis);
   if (catalog != nullptr) FillDegreeNormStatics(plan, *catalog, &analysis);
   return analysis;

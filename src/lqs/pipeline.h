@@ -10,29 +10,10 @@
 
 namespace lqs {
 
-/// One pipeline (maximal subtree of concurrently executing operators,
-/// §3.1.1 / Figure 5).
-struct PipelineInfo {
-  int id = -1;
-  /// Topmost node of the pipeline.
-  int root_node = -1;
-  /// All plan-node ids belonging to this pipeline.
-  std::vector<int> nodes;
-  /// Standard driver nodes: pipeline members with no same-pipeline children,
-  /// excluding nodes on the inner side of a Nested Loops join (§3.1.1).
-  std::vector<int> driver_nodes;
-  /// Nested-loops inner-side sources, promoted to drivers when the §4.4(1)
-  /// semi-blocking adjustment is enabled.
-  std::vector<int> inner_driver_nodes;
-  /// Pipelines directly below this one (across blocking boundaries); they
-  /// complete before this pipeline's corresponding input is consumed.
-  std::vector<int> child_pipelines;
-};
-
 /// Per-node catalog constants hoisted out of the per-snapshot estimation
-/// path. Filled by the catalog-aware AnalyzePlan overload; everything here
-/// is a pure function of (plan node, catalog), so computing it once at
-/// estimator construction and never again is exact, not approximate.
+/// path. Filled by AnalyzePlan; everything here is a pure function of
+/// (plan node, catalog), so computing it once at estimator construction and
+/// never again is exact, not approximate.
 struct NodeStatics {
   /// Catalog row count of the node's table; < 0 when the node reads no
   /// table or the catalog has no entry for it.
@@ -90,47 +71,63 @@ enum NodeFlag : uint16_t {
   kFlagSelective = 1u << 4,
   kFlagScan = 1u << 5,         ///< IsScan(op)
   kFlagColumnstore = 1u << 6,  ///< batch-mode columnstore scan (§4.7)
-  kFlagOnNljInner = 1u << 7,   ///< on_nlj_inner_side
-  kFlagUnderNljInner = 1u << 8,  ///< under_nlj_inner
-  kFlagSeparatedBySemiBlocking = 1u << 9,  ///< separated_by_semi_blocking
+  /// On the inner side of some Nested Loops join within the node's own
+  /// pipeline (nlj_outer_child / nlj_inner_child name the innermost one).
+  kFlagOnNljInner = 1u << 7,
+  /// ANY edge on the node's path from the plan root is the inner input of a
+  /// Nested Loops join — including inner sides entered in an ancestor
+  /// pipeline. Such nodes can be re-bound (re-executed), so their DMV
+  /// counters are not final even after `finished`; every incremental freeze
+  /// is gated on this being clear.
+  kFlagUnderNljInner = 1u << 8,
+  /// The path from the node down to its pipeline's driver (leaf) nodes
+  /// passes through at least one semi-blocking operator (Exchange, buffered
+  /// Nested Loops) — the §4.4(2) condition under which refinement scales by
+  /// the immediate child's progress instead of the pipeline's driver
+  /// progress.
+  kFlagSeparatedBySemiBlocking = 1u << 9,
   /// §4.5 two-phase progress applies: sort family, hash aggregate, hash
   /// join, eager spool.
   kFlagBlockingForProgress = 1u << 10,
 };
 
-/// Static plan decomposition shared by all estimator features.
+/// Static plan decomposition shared by all estimator features: the one
+/// plan layout. Everything the per-snapshot estimator and the bounds
+/// engines read about the plan lives here in flat arrays, indexed by node or
+/// pipeline id and walked in `postorder`, so no estimation stage touches a
+/// PlanNode or the catalog (DESIGN.md §11). A span field pair `x_begin` /
+/// `x_ids` stores entity e's list as x_ids[x_begin[e] .. x_begin[e+1]).
 struct PlanAnalysis {
-  std::vector<PipelineInfo> pipelines;
-  /// node id -> pipeline id.
+  // --- Pipeline decomposition (§3.1.1 / Figure 5) ---
+  /// node id -> pipeline id. Pipelines are numbered parent before child;
+  /// pipeline 0 holds the plan root.
   std::vector<int> pipeline_of_node;
-  /// node id -> true when the path from the node down to its pipeline's
-  /// driver (leaf) nodes passes through at least one semi-blocking operator
-  /// (Exchange, buffered Nested Loops) — the §4.4(2) condition under which
-  /// refinement scales by the immediate child's progress instead of the
-  /// pipeline's driver progress.
-  std::vector<bool> separated_by_semi_blocking;
-  /// node id -> true when the node lies on the inner side of some Nested
-  /// Loops join within its own pipeline.
-  std::vector<bool> on_nlj_inner_side;
-  /// node id -> id of the enclosing Nested Loops join when on its inner
-  /// side, else -1 (innermost such join).
-  std::vector<int> enclosing_nlj;
+  /// pipeline id -> its topmost node.
+  std::vector<int> pipeline_root;
+  /// pipeline id -> its member nodes in walk order (a node before its
+  /// same-pipeline children), the order §4.6 sums own weight terms in.
+  std::vector<int> pipeline_node_begin;
+  std::vector<int> pipeline_nodes;
+  /// pipeline id -> standard drivers: members with no same-pipeline
+  /// children, excluding nodes on a Nested Loops inner side (§3.1.1).
+  std::vector<int> driver_begin;
+  std::vector<int> driver_ids;
+  /// pipeline id -> Nested Loops inner-side sources, promoted to drivers
+  /// when the §4.4(1) semi-blocking adjustment is enabled.
+  std::vector<int> inner_driver_begin;
+  std::vector<int> inner_driver_ids;
+  /// pipeline id -> pipelines directly below it (across blocking
+  /// boundaries); they complete before its corresponding input is consumed.
+  std::vector<int> child_pipeline_begin;
+  std::vector<int> child_pipeline_ids;
 
   // --- Hoisted traversal orders and freeze topology (all plan-static) ---
   /// Plan node ids, children before parents — the iteration order of the
   /// refinement pass, hoisted so the hot path never re-walks child pointers.
   std::vector<int> postorder;
-  /// node id -> true when ANY edge on the node's path from the plan root is
-  /// the inner input of a Nested Loops join — including inner sides entered
-  /// in an ancestor pipeline. Such nodes can be re-bound (re-executed), so
-  /// their DMV counters are not final even after `finished`; every
-  /// incremental freeze is gated on this being false. Note the difference
-  /// from on_nlj_inner_side, which only tracks inner sides within the
-  /// node's own pipeline.
-  std::vector<bool> under_nlj_inner;
-  /// pipeline id -> true when no member node is under_nlj_inner: once every
-  /// member reports `finished`, all counters feeding the pipeline's alpha,
-  /// refined rows and bounds are final, so frozen values stay exact.
+  /// pipeline id -> true when no member node has kFlagUnderNljInner: once
+  /// every member reports `finished`, all counters feeding the pipeline's
+  /// alpha, refined rows and bounds are final, so frozen values stay exact.
   std::vector<uint8_t> pipeline_freezable;
 
   // --- Hoisted §4.6 weight attribution (plan-static) ---
@@ -157,10 +154,7 @@ struct PlanAnalysis {
   /// seeding is one flat copy instead of a pointer-chasing loop.
   std::vector<double> est_seed;
 
-  // --- Flat per-node layout (catalog-aware AnalyzePlan only) ---
-  // Everything the per-snapshot estimator reads about the plan, indexed by
-  // node id and walked in `postorder`, so no estimation stage touches a
-  // PlanNode or the catalog (DESIGN.md §11).
+  // --- Per-node operator layout ---
   std::vector<OpType> op;
   std::vector<JoinKind> join_kind;
   /// node id i -> its children are child_ids[child_begin[i] ..
@@ -177,8 +171,9 @@ struct PlanAnalysis {
   std::vector<double> projection_count;
   /// NodeFlag bits per node.
   std::vector<uint16_t> flags;
-  /// node id -> outer (child 0) and inner (child 1) ids of enclosing_nlj,
-  /// or -1 off an NL inner side.
+  /// node id -> outer (child 0) and inner (child 1) ids of the innermost
+  /// same-pipeline Nested Loops join whose inner side holds the node, or -1
+  /// off an NL inner side (exactly when kFlagOnNljInner is clear).
   std::vector<int> nlj_outer_child;
   std::vector<int> nlj_inner_child;
   /// node id i -> mult_chain[mult_begin[i] .. mult_begin[i+1]): the outer
@@ -189,24 +184,21 @@ struct PlanAnalysis {
   /// descent that multiplies at each NL inner edge.
   std::vector<int> mult_begin;
   std::vector<int> mult_chain;
-  /// pipeline id p -> standard drivers driver_ids[driver_begin[p] ..
-  /// driver_begin[p+1]) and §4.4(1) inner drivers inner_driver_ids[
-  /// inner_driver_begin[p] .. inner_driver_begin[p+1]), as in PipelineInfo.
-  std::vector<int> driver_begin;
-  std::vector<int> driver_ids;
-  std::vector<int> inner_driver_begin;
-  std::vector<int> inner_driver_ids;
-  /// pipeline id -> its root node (PipelineInfo::root_node).
-  std::vector<int> pipeline_root;
 
-  /// Catalog statics per node (catalog-aware AnalyzePlan only; an absent
-  /// catalog leaves every table unknown).
+  /// Catalog statics per node (an absent catalog leaves every table
+  /// unknown).
   std::vector<NodeStatics> node_statics;
 
-  int pipeline_count() const { return static_cast<int>(pipelines.size()); }
+  int pipeline_count() const {
+    return static_cast<int>(pipeline_root.size());
+  }
 };
 
-/// Decomposes the plan into pipelines and computes the per-node flags above.
+/// Decomposes the plan into pipelines and fills every PlanAnalysis field,
+/// hoisting the per-node catalog constants (table sizes, scan cost terms,
+/// LpBound degree norms) into node_statics, so the per-snapshot path never
+/// touches a PlanNode or the catalog's string-keyed maps. `catalog` may be
+/// null, in which case every table is unknown.
 ///
 /// Blocking boundaries (edges where a new pipeline starts below):
 ///  - the input edge of Sort / Top N Sort / Distinct Sort / Hash Aggregate /
@@ -214,14 +206,6 @@ struct PlanAnalysis {
 ///  - the build (first) input edge of a Hash Join.
 /// All other edges — including both Nested Loops inputs, Merge Join inputs
 /// and Exchange inputs — stay within the parent's pipeline.
-PlanAnalysis AnalyzePlan(const Plan& plan);
-
-/// Catalog-aware overload, the one the estimator and the bounds engines
-/// read: additionally fills the flat per-node layout and hoists the
-/// per-node catalog constants (table sizes, scan cost terms, LpBound degree
-/// norms) into node_statics, so the per-snapshot path never touches a
-/// PlanNode or the catalog's string-keyed maps. `catalog` may be null, in
-/// which case every table is unknown.
 PlanAnalysis AnalyzePlan(const Plan& plan, const Catalog* catalog);
 
 /// True when the edge from `parent` to its `child_index`-th child is a

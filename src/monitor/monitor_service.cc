@@ -45,8 +45,25 @@ const ProgressEstimator* MonitorService::CachedEstimator(
   return it->second.get();
 }
 
-int MonitorService::AddSession(Session session) {
+int MonitorService::AddSession(std::string name, const Plan* plan,
+                               const Catalog* catalog,
+                               double start_offset_ms,
+                               const EstimatorOptions& estimator_options,
+                               const ProfileTrace* trace,
+                               std::unique_ptr<PollingClient> client) {
   const uint32_t index = static_cast<uint32_t>(sessions_.size());
+  Session session;
+  session.name = std::move(name);
+  session.plan = plan;
+  session.catalog = catalog;
+  session.trace = trace;
+  session.start_offset_ms = start_offset_ms;
+  session.estimator = CachedEstimator(plan, catalog, estimator_options);
+  if (options_.check_invariants) {
+    session.checker = std::make_unique<ProgressInvariantChecker>(
+        session.estimator, options_.checker_options);
+  }
+  session.client = std::move(client);
   session.report = std::make_unique<ProgressReport>();
   SessionStatus slot;
   slot.session_id = static_cast<int>(index);
@@ -75,18 +92,8 @@ int MonitorService::RegisterSession(std::string name, const Plan* plan,
                                     const ProfileTrace* trace,
                                     double start_offset_ms,
                                     const EstimatorOptions& estimator_options) {
-  Session session;
-  session.name = std::move(name);
-  session.plan = plan;
-  session.catalog = catalog;
-  session.trace = trace;
-  session.start_offset_ms = start_offset_ms;
-  session.estimator = CachedEstimator(plan, catalog, estimator_options);
-  if (options_.check_invariants) {
-    session.checker = std::make_unique<ProgressInvariantChecker>(
-        session.estimator, options_.checker_options);
-  }
-  return AddSession(std::move(session));
+  return AddSession(std::move(name), plan, catalog, start_offset_ms,
+                    estimator_options, trace, nullptr);
 }
 
 int MonitorService::RegisterRemoteSession(
@@ -94,20 +101,10 @@ int MonitorService::RegisterRemoteSession(
     std::unique_ptr<SnapshotEndpoint> endpoint, double start_offset_ms,
     const PollingClientOptions& client_options,
     const EstimatorOptions& estimator_options) {
-  Session session;
-  session.name = std::move(name);
-  session.plan = plan;
-  session.catalog = catalog;
-  session.trace = nullptr;
-  session.start_offset_ms = start_offset_ms;
-  session.estimator = CachedEstimator(plan, catalog, estimator_options);
-  if (options_.check_invariants) {
-    session.checker = std::make_unique<ProgressInvariantChecker>(
-        session.estimator, options_.checker_options);
-  }
-  session.client =
-      std::make_unique<PollingClient>(std::move(endpoint), client_options);
-  return AddSession(std::move(session));
+  return AddSession(
+      std::move(name), plan, catalog, start_offset_ms, estimator_options,
+      nullptr,
+      std::make_unique<PollingClient>(std::move(endpoint), client_options));
 }
 
 double MonitorService::HorizonMs() const {

@@ -354,9 +354,15 @@ class MonitorService {
                                            const Catalog* catalog,
                                            const EstimatorOptions& options);
 
-  /// Registration tail shared by both Register* calls: appends the session
-  /// with its waiting slot and grows the per-tick buffers to fit it.
-  int AddSession(Session session);
+  /// Registration shared by both Register* calls: builds the session (its
+  /// cached estimator and, when enabled, its checker) around the caller's
+  /// trace or client — exactly one is non-null — appends it with its
+  /// waiting slot and grows the per-tick buffers to fit it.
+  int AddSession(std::string name, const Plan* plan, const Catalog* catalog,
+                 double start_offset_ms,
+                 const EstimatorOptions& estimator_options,
+                 const ProfileTrace* trace,
+                 std::unique_ptr<PollingClient> client);
 
   /// Computes one running session's status at `now_ms` (runs on a pool
   /// worker), fully overwriting `*out`.

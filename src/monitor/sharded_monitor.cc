@@ -23,14 +23,11 @@ int ShardedMonitor::RegisterSession(std::string name, const Plan* plan,
                                     double start_offset_ms,
                                     const EstimatorOptions& estimator_options) {
   const int shard_id = router_.ShardFor(name);
-  Shard& shard = shards_[static_cast<size_t>(shard_id)];
-  const int local_id = shard.service->RegisterSession(
-      std::move(name), plan, catalog, trace, start_offset_ms,
-      estimator_options);
-  const int global_id = static_cast<int>(session_homes_.size());
-  session_homes_.push_back(SessionHome{shard_id, local_id});
-  shard.global_ids.push_back(global_id);
-  return global_id;
+  MonitorService& service = *shards_[static_cast<size_t>(shard_id)].service;
+  const int local_id =
+      service.RegisterSession(std::move(name), plan, catalog, trace,
+                              start_offset_ms, estimator_options);
+  return RecordHome(shard_id, local_id);
 }
 
 int ShardedMonitor::RegisterRemoteSession(
@@ -39,13 +36,17 @@ int ShardedMonitor::RegisterRemoteSession(
     const PollingClientOptions& client_options,
     const EstimatorOptions& estimator_options) {
   const int shard_id = router_.ShardFor(name);
-  Shard& shard = shards_[static_cast<size_t>(shard_id)];
-  const int local_id = shard.service->RegisterRemoteSession(
+  MonitorService& service = *shards_[static_cast<size_t>(shard_id)].service;
+  const int local_id = service.RegisterRemoteSession(
       std::move(name), plan, catalog, std::move(endpoint), start_offset_ms,
       client_options, estimator_options);
+  return RecordHome(shard_id, local_id);
+}
+
+int ShardedMonitor::RecordHome(int shard_id, int local_id) {
   const int global_id = static_cast<int>(session_homes_.size());
   session_homes_.push_back(SessionHome{shard_id, local_id});
-  shard.global_ids.push_back(global_id);
+  shards_[static_cast<size_t>(shard_id)].global_ids.push_back(global_id);
   return global_id;
 }
 

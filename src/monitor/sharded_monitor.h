@@ -143,6 +143,10 @@ class ShardedMonitor {
     int local_id = 0;
   };
 
+  /// Registration tail shared by both Register* calls: records that the
+  /// session registered on `shard_id` as `local_id`; returns its global id.
+  int RecordHome(int shard_id, int local_id);
+
   /// Doubles/halves `shard_index`'s divisor from its measured tick wall
   /// time (poll_divisors_ / last_tick_wall_ms_, both behind the lock).
   void AdjustBackpressure(int shard_index) LQS_REQUIRES(backpressure_mu_);

@@ -220,6 +220,16 @@ const ClientView& PollingClient::Poll(double now_ms) {
   bool link_alive = false;
   double attempt_time = now_ms;
   double backoff = options_.backoff_initial_ms;
+  // Exponential backoff with deterministic jitter before a retry; virtual
+  // time advances so the next attempt asks a later question. Each call
+  // draws the jitter RNG exactly once.
+  auto back_off = [&] {
+    const double capped = std::min(backoff, options_.backoff_max_ms);
+    const double jitter =
+        1.0 + options_.jitter_fraction * (2.0 * jitter_rng_.NextDouble() - 1.0);
+    attempt_time += std::max(0.0, capped * jitter);
+    backoff *= options_.backoff_multiplier;
+  };
   for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
        ++attempt) {
     if (attempt > 0) ++stats_.retries;
@@ -239,14 +249,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
         !result.status.ok() || result.arrival_ms > request.deadline_ms;
     if (timed_out) {
       ++stats_.transport_failures;
-      // Exponential backoff with deterministic jitter before the retry;
-      // virtual time advances so the next attempt asks a later question.
-      const double capped = std::min(backoff, options_.backoff_max_ms);
-      const double jitter =
-          1.0 + options_.jitter_fraction *
-                    (2.0 * jitter_rng_.NextDouble() - 1.0);
-      attempt_time += std::max(0.0, capped * jitter);
-      backoff *= options_.backoff_multiplier;
+      back_off();
       continue;
     }
     stats_.bytes_received += result.frame.size();
@@ -256,12 +259,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
       // it separately — persistent decode errors mean version skew or a
       // broken link, not congestion.
       ++stats_.decode_errors;
-      const double capped = std::min(backoff, options_.backoff_max_ms);
-      const double jitter =
-          1.0 + options_.jitter_fraction *
-                    (2.0 * jitter_rng_.NextDouble() - 1.0);
-      attempt_time += std::max(0.0, capped * jitter);
-      backoff *= options_.backoff_multiplier;
+      back_off();
       continue;
     }
     link_alive = true;
@@ -298,12 +296,7 @@ const ClientView& PollingClient::Poll(double now_ms) {
         // frame passed CRC but the message is nonsense. Same treatment as
         // a decode error.
         ++stats_.decode_errors;
-        const double capped = std::min(backoff, options_.backoff_max_ms);
-        const double jitter =
-            1.0 + options_.jitter_fraction *
-                      (2.0 * jitter_rng_.NextDouble() - 1.0);
-        attempt_time += std::max(0.0, capped * jitter);
-        backoff *= options_.backoff_multiplier;
+        back_off();
       }
       continue;
     }

@@ -277,7 +277,9 @@ class LpBoundsTest : public BoundsTest {
   CardinalityBounds LpBounds(const Plan& plan, const ProfileSnapshot& snap) {
     const PlanAnalysis analysis = AnalyzePlan(plan, catalog_.get());
     CardinalityBounds out;
-    ComputeLpBoundsInto(plan, snap, analysis, nullptr, &out);
+    ComputeBoundsPipelineInto(BoundsEngineKind::kLpBound, plan, *catalog_,
+                              snap, nullptr, analysis, nullptr, &out, nullptr,
+                              nullptr);
     return out;
   }
 };

@@ -208,7 +208,6 @@ TEST_F(EstimatorAllocTest, SteadyStateEstimateIntoAllocatesNothing) {
     // drives the Appendix-A derivation, lqs drives the §4.6 weight path.
     // The flat per-stage passes run inside every EstimateInto call.
     // LQS_NOALLOC_PAIRED: ProgressEstimator::EstimateInto
-    // LQS_NOALLOC_PAIRED: ComputeBoundsInto
     // LQS_NOALLOC_PAIRED: ProgressEstimator::PipelineWeightsInto
     // LQS_NOALLOC_PAIRED: ProgressEstimator::ComputeFreezeMasks
     // LQS_NOALLOC_PAIRED: ProgressEstimator::PipelineAlphasInto
@@ -258,7 +257,6 @@ TEST_F(EstimatorAllocTest, SteadyStateLpBoundEnginesAllocateNothing) {
     // the Appendix-A engine and the per-node interval intersection.
     // Both engines share the one postorder pass.
     // LQS_NOALLOC_PAIRED: ComputeBoundsPipelineInto
-    // LQS_NOALLOC_PAIRED: ComputeLpBoundsInto
     // LQS_NOALLOC_PAIRED: BoundsPass
     EXPECT_EQ(window.count(), 0u)
         << "bounds engine " << BoundsEngineName(kind)

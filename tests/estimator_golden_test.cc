@@ -10,7 +10,7 @@
 //
 // Bounds: the lower/upper bits (plus the engine counters) of
 // ComputeBoundsPipelineInto for all three engines, with no frozen mask and
-// with the mask EstimateInto builds (finished && !under_nlj_inner).
+// with the mask EstimateInto builds (finished && !kFlagUnderNljInner).
 //
 // Hand-built plans cover shapes the workloads barely reach: a Nested Loops
 // join on another Nested Loops join's inner side (a rebind multiplier chain
@@ -159,7 +159,8 @@ void HashCaseBounds(const Case& c, Digest* d) {
   const std::vector<uint8_t>* const masks[] = {nullptr, &frozen};
   auto hash_snapshot = [&](const ProfileSnapshot& snap) {
     for (int i = 0; i < n; ++i) {
-      frozen[i] = snap.operators[i].finished && !analysis.under_nlj_inner[i];
+      frozen[i] = snap.operators[i].finished &&
+                  (analysis.flags[i] & kFlagUnderNljInner) == 0;
     }
     for (BoundsEngineKind kind :
          {BoundsEngineKind::kAppendixA, BoundsEngineKind::kLpBound,

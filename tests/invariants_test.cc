@@ -81,7 +81,7 @@ TEST_F(InvariantsTest, EveryWorkloadPlanPassesStaticValidation) {
   for (const ExecutedWorkload& ew : GetWorkloads()) {
     PlanValidator validator(ew.workload.catalog.get());
     for (const WorkloadQuery& q : ew.workload.queries) {
-      PlanAnalysis analysis = AnalyzePlan(q.plan);
+      PlanAnalysis analysis = AnalyzePlan(q.plan, ew.workload.catalog.get());
       ValidationReport report = validator.Validate(q.plan, analysis);
       EXPECT_TRUE(report.ok()) << ew.workload.name << "/" << q.name << "\n"
                                << report.ToString();
@@ -151,21 +151,38 @@ TEST_F(ValidatorNegativeTest, DetectsNegativeEstimates) {
   EXPECT_FALSE(validator.Validate(plan).ok());
 }
 
+// Removes entity e's whole list from the flat span pair (begin, ids).
+void ClearSpan(std::vector<int>* begin, std::vector<int>* ids, int e) {
+  const int removed = (*begin)[e + 1] - (*begin)[e];
+  ids->erase(ids->begin() + (*begin)[e], ids->begin() + (*begin)[e + 1]);
+  for (size_t k = e + 1; k < begin->size(); ++k) (*begin)[k] -= removed;
+}
+
+// Appends `id` to entity e's list in the flat span pair (begin, ids).
+void AppendToSpan(std::vector<int>* begin, std::vector<int>* ids, int e,
+                  int id) {
+  ids->insert(ids->begin() + (*begin)[e + 1], id);
+  for (size_t k = e + 1; k < begin->size(); ++k) ++(*begin)[k];
+}
+
+bool HasCheck(const ValidationReport& report, const std::string& check) {
+  for (const auto& issue : report.issues()) {
+    if (issue.check == check) return true;
+  }
+  return false;
+}
+
+// Sort(Filter(Scan)): pipeline 0 = {Sort}, pipeline 1 = {Filter, Scan}.
 TEST_F(ValidatorNegativeTest, DetectsDriverlessPipeline) {
   using namespace pb;  // NOLINT
   Plan plan = MustFinalize(
       Sort(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)), {0}),
       *catalog_);
-  PlanAnalysis analysis = AnalyzePlan(plan);
-  analysis.pipelines[1].driver_nodes.clear();
-  PlanValidator validator;
-  ValidationReport report = validator.Validate(plan, analysis);
-  EXPECT_FALSE(report.ok());
-  bool found = false;
-  for (const auto& issue : report.issues()) {
-    if (issue.check == "pipeline.driver") found = true;
-  }
-  EXPECT_TRUE(found) << report.ToString();
+  PlanAnalysis analysis = AnalyzePlan(plan, catalog_.get());
+  ASSERT_TRUE(PlanValidator().Validate(plan, analysis).ok());
+  ClearSpan(&analysis.driver_begin, &analysis.driver_ids, 1);
+  ValidationReport report = PlanValidator().Validate(plan, analysis);
+  EXPECT_TRUE(HasCheck(report, "pipeline.driver")) << report.ToString();
 }
 
 TEST_F(ValidatorNegativeTest, DetectsBrokenPipelinePartition) {
@@ -173,11 +190,40 @@ TEST_F(ValidatorNegativeTest, DetectsBrokenPipelinePartition) {
   Plan plan = MustFinalize(
       Sort(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)), {0}),
       *catalog_);
-  PlanAnalysis analysis = AnalyzePlan(plan);
-  // Claim a node for a second pipeline as well.
-  analysis.pipelines[0].nodes.push_back(analysis.pipelines[1].nodes[0]);
-  PlanValidator validator;
-  EXPECT_FALSE(validator.Validate(plan, analysis).ok());
+  PlanAnalysis analysis = AnalyzePlan(plan, catalog_.get());
+  // Claim a node of pipeline 1 for pipeline 0 as well.
+  AppendToSpan(&analysis.pipeline_node_begin, &analysis.pipeline_nodes, 0,
+               analysis.pipeline_nodes[analysis.pipeline_node_begin[1]]);
+  ValidationReport report = PlanValidator().Validate(plan, analysis);
+  EXPECT_TRUE(HasCheck(report, "pipeline.partition")) << report.ToString();
+}
+
+TEST_F(ValidatorNegativeTest, DetectsDriverOfAnotherPipeline) {
+  using namespace pb;  // NOLINT
+  Plan plan = MustFinalize(
+      Sort(Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 10)), {0}),
+      *catalog_);
+  PlanAnalysis analysis = AnalyzePlan(plan, catalog_.get());
+  const int scan = analysis.driver_ids[analysis.driver_begin[1]];
+  ASSERT_EQ(analysis.pipeline_of_node[scan], 1);
+  analysis.driver_ids[analysis.driver_begin[0]] = scan;
+  ValidationReport report = PlanValidator().Validate(plan, analysis);
+  EXPECT_TRUE(HasCheck(report, "pipeline.driver_member"))
+      << report.ToString();
+}
+
+TEST_F(ValidatorNegativeTest, DetectsNljInnerFlagWithoutEnclosingJoin) {
+  using namespace pb;  // NOLINT
+  // Node 0 = NL join, 1 = outer scan, 2 = inner seek.
+  Plan plan = MustFinalize(Nlj(JoinKind::kInner, Scan("t_small"),
+                               CiSeek("t_big", OuterCol(0), OuterCol(0))),
+                           *catalog_);
+  PlanAnalysis analysis = AnalyzePlan(plan, catalog_.get());
+  ASSERT_TRUE(PlanValidator().Validate(plan, analysis).ok());
+  ASSERT_EQ(analysis.nlj_outer_child[1], -1);
+  analysis.flags[1] |= kFlagOnNljInner;
+  ValidationReport report = PlanValidator().Validate(plan, analysis);
+  EXPECT_TRUE(HasCheck(report, "pipeline.nlj_flags")) << report.ToString();
 }
 
 TEST_F(ValidatorNegativeTest, DetectsOutOfRangeProgress) {

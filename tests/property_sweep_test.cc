@@ -151,7 +151,8 @@ TEST_P(EstimatorMatrixTest, PlansPassStaticValidation) {
   Shared& shared = GetShared();
   PlanValidator validator(shared.workload.catalog.get());
   for (const WorkloadQuery& q : shared.workload.queries) {
-    ValidationReport report = validator.Validate(q.plan, AnalyzePlan(q.plan));
+    ValidationReport report = validator.Validate(
+        q.plan, AnalyzePlan(q.plan, shared.workload.catalog.get()));
     ASSERT_TRUE(report.ok()) << q.name << "\n" << report.ToString();
   }
 }

@@ -196,11 +196,9 @@ _PAIRED = re.compile(r"LQS_NOALLOC_PAIRED:\s*([A-Za-z_][\w:]*)")
 # guarantee to REQUIRED_DETERMINISTIC below.
 REQUIRED_NOALLOC: Tuple[str, ...] = (
     "ProgressEstimator::EstimateInto",
-    # The bounds-engine pipeline (PR 10): both the dispatcher and the
-    # LpBound engine sit on the per-snapshot hot path of every bounding
-    # estimator configuration.
+    # The one bounds entry point: it and the BoundsPass it reaches sit on
+    # the per-snapshot hot path of every bounding estimator configuration.
     "ComputeBoundsPipelineInto",
-    "ComputeLpBoundsInto",
 )
 
 
@@ -815,10 +813,9 @@ REQUIRED_DETERMINISTIC: Tuple[str, ...] = (
     "DecodePollResponseInto",
     "MakeSnapshotDeltaInto",
     "MonitorService::ComputeStatus",
-    # The bounds-engine pipeline (PR 10): bound intervals feed the clamp,
-    # so replay-order-independent reports require deterministic engines.
+    # The one bounds entry point: bound intervals feed the clamp, so
+    # replay-order-independent reports require deterministic engines.
     "ComputeBoundsPipelineInto",
-    "ComputeLpBoundsInto",
 )
 
 

@@ -1,9 +1,6 @@
-"""Built-in C++ frontend for lqs-verify: tokenizer + structural scanner.
+"""The C++ frontend of lqs-verify: tokenizer + structural scanner.
 
-This is the fallback (and reference) frontend, used whenever the libclang
-Python bindings are unavailable (frontend_clang.py is preferred when
-`import clang.cindex` succeeds and a libclang shared object can be found).
-It is not a C++ parser; it is a structural scanner tuned to this codebase's
+It needs only a Python interpreter. It is not a C++ parser; it is a structural scanner tuned to this codebase's
 style (Google-style headers/sources, no exceptions, no preprocessor
 metaprogramming in function bodies) that extracts exactly the facts in
 model.SourceModel:

@@ -24,9 +24,9 @@ Five checkers over one source model (see DESIGN.md §12/§14):
                (seeded lqs::Rng and VirtualClock are sanctioned).
                Escape: // lqs-verify: det-ok(reason).
 
-Frontends: `clang` (libclang via clang.cindex, preferred when available)
-and `lite` (built-in structural scanner, always available, pinned by the
-fixture suite). `auto` picks clang when loadable, else lite.
+Sources are lowered into the model by the built-in structural scanner
+(frontend_lite.py), which needs only a Python interpreter and is pinned by
+the fixture suite.
 
 Exit codes: 0 clean, 1 findings, 2 parse/usage errors.
 """
@@ -65,40 +65,12 @@ def collect_sources(root: str) -> List[str]:
     return sorted(found)
 
 
-def build_model(paths: List[str], frontend: str, root: str,
-                compile_commands: Optional[str],
-                notices: List[str]) -> tuple:
-    """Returns (model, errors, frontend_used)."""
-    if frontend in ("auto", "clang"):
-        try:
-            import frontend_clang
-            model, errors = frontend_clang.parse_files(
-                paths, root=root, compile_commands=compile_commands)
-            return model, errors, "clang"
-        except Exception as err:  # FrontendUnavailable or import failure
-            if frontend == "clang":
-                raise SystemExit(
-                    f"lqs-verify: clang frontend requested but unavailable: "
-                    f"{err}")
-            notices.append(
-                f"lqs-verify: libclang unavailable ({err}); "
-                f"using built-in frontend")
-    model, errors = frontend_lite.parse_files(paths)
-    return model, errors, "lite"
-
-
 def run(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="lqs_verify",
         description="Static analysis gates for the LQS tree.")
     parser.add_argument("--root", default=".",
                         help="repository root (default: cwd)")
-    parser.add_argument("--compile-commands", default=None,
-                        help="compile_commands.json for the clang frontend "
-                             "(default: <root>/build/compile_commands.json "
-                             "if present)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "lite"),
-                        default="auto")
     parser.add_argument("--checks", "--check",
                         default="status,noalloc,layering,locks,determinism",
                         help="comma-separated subset of "
@@ -126,22 +98,12 @@ def run(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    compile_commands = args.compile_commands
-    if compile_commands is None:
-        default_cc = os.path.join(root, "build", "compile_commands.json")
-        if os.path.exists(default_cc):
-            compile_commands = default_cc
-
     paths = [os.path.abspath(p) for p in args.files] or collect_sources(root)
     if not paths:
         print(f"lqs-verify: no sources under {root}", file=sys.stderr)
         return 2
 
-    notices: List[str] = []
-    model, errors, frontend_used = build_model(
-        paths, args.frontend, root, compile_commands, notices)
-    for notice in notices:
-        print(notice, file=sys.stderr)
+    model, errors = frontend_lite.parse_files(paths)
 
     findings: List[Finding] = []
     if "status" in enabled:
@@ -173,7 +135,6 @@ def run(argv: Optional[List[str]] = None) -> int:
 
     if args.json:
         print(json.dumps({
-            "frontend": frontend_used,
             "files": len(paths),
             "findings": [dataclass_dict(f) for f in findings],
             "parse_errors": errors,
@@ -185,9 +146,8 @@ def run(argv: Optional[List[str]] = None) -> int:
                           finding.chain).render())
         for err in errors:
             print(f"lqs-verify: parse error: {err}", file=sys.stderr)
-        print(f"lqs-verify: {frontend_used} frontend, {len(paths)} files, "
-              f"{len(findings)} finding(s), {len(errors)} parse error(s)",
-              file=sys.stderr)
+        print(f"lqs-verify: {len(paths)} files, {len(findings)} finding(s), "
+              f"{len(errors)} parse error(s)", file=sys.stderr)
 
     if errors:
         return 2

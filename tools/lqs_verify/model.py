@@ -1,8 +1,8 @@
-"""Shared IR for lqs-verify's frontends and checkers.
+"""Shared IR for lqs-verify's frontend and checkers.
 
-Both frontends (frontend_clang via libclang, frontend_lite via the built-in
-tokenizer) lower C++ sources into this model; the three checkers in
-checks.py consume only the model, so their findings are frontend-agnostic.
+The frontend (frontend_lite, a built-in tokenizer) lowers C++ sources into
+this model; the checkers in checks.py consume only the model, so they stay
+independent of how the sources were scanned.
 
 The model is deliberately small: functions with their call sites,
 allocation sites, lock-acquisition sites, and determinism hazards; the
@@ -226,9 +226,8 @@ class Finding:
 
 
 # ---------------------------------------------------------------------------
-# Comment suppressions are parsed from raw text, uniformly for every
-# frontend: libclang drops comments from the AST, and the escape hatch must
-# behave identically whichever frontend parsed the file.
+# Comment suppressions are parsed from raw text, independently of the
+# structural scan, so the escape hatch reads exactly what the author wrote.
 
 _ALLOC_OK_COMMENT = re.compile(
     r'(?://|/\*).*?LQS_ALLOC_OK\(\s*"((?:[^"\\]|\\.)*)"\s*\)')
@@ -274,9 +273,8 @@ def scan_includes(text: str) -> List[Tuple[int, str]]:
     return result
 
 
-# Raw-text scan of the lock_rank registry, shared by both frontends (the
-# constants are plain `inline constexpr int` in a named namespace — no AST
-# needed, and the lite frontend must see exactly the same registry).
+# Raw-text scan of the lock_rank registry (the constants are plain
+# `inline constexpr int` in a named namespace — no AST needed).
 _RANK_CONSTANT = re.compile(
     r'^\s*(?:inline\s+)?constexpr\s+int\s+(k\w+)\s*=\s*(\d+)\s*;')
 

@@ -4,9 +4,7 @@
 Pins each checker's exact findings on the seeded-violation corpus in
 testdata/ (the positive cases) and the clean constructs around them (the
 negative cases), plus the annotation/runtime-test pairing in both
-directions against the real tree. The built-in frontend is the reference
-implementation these tests define; the libclang frontend, when available,
-must agree with it on the checkers' inputs.
+directions against the real tree.
 
 Fixture lines are located by unique substrings, not hard-coded numbers, so
 fixtures can be edited without renumbering the suite.
@@ -20,7 +18,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import checks  # noqa: E402
-import frontend_clang  # noqa: E402
 import frontend_lite  # noqa: E402
 import lqs_verify  # noqa: E402
 
@@ -567,36 +564,6 @@ class LocksAnnotationRevertTest(unittest.TestCase):
         self.assertIn("poll_divisors_", findings[0].message)
 
 
-class FrontendAgreementTest(unittest.TestCase):
-    """The libclang frontend, when loadable, must reach the same checker
-    verdicts as the built-in reference frontend on the fixture corpus.
-    Skipped where libclang is unavailable (the dev container); CI installs
-    the wheel and runs these for real."""
-
-    @staticmethod
-    def keyed(findings):
-        return sorted((f.file, f.line, f.message) for f in findings)
-
-    def assert_agreement(self, files, root, run_checks):
-        lite = run_checks(parse(*files))
-        clang_model, errors = frontend_clang.parse_files(list(files), root)
-        self.assertEqual(errors, [])
-        self.assertEqual(self.keyed(run_checks(clang_model)),
-                         self.keyed(lite))
-
-    @unittest.skipUnless(frontend_clang.available(), "libclang unavailable")
-    def test_locks_fixtures_agree(self):
-        root = os.path.join(TESTDATA, "locks")
-        self.assert_agreement(files_under(root), root,
-                              lambda m: checks.check_locks(m, root))
-
-    @unittest.skipUnless(frontend_clang.available(), "libclang unavailable")
-    def test_determinism_fixture_agrees(self):
-        fixture = os.path.join(TESTDATA, "determinism_fixture.cc")
-        self.assert_agreement([fixture], TESTDATA,
-                              checks.check_determinism)
-
-
 class LayeringFixtureTest(unittest.TestCase):
     ROOT = os.path.join(TESTDATA, "layering")
 
@@ -645,31 +612,30 @@ class LayerConfigTest(unittest.TestCase):
 class DriverTest(unittest.TestCase):
     def test_real_tree_is_clean(self):
         self.assertEqual(
-            lqs_verify.run(["--root", REPO_ROOT, "--frontend", "lite"]), 0)
+            lqs_verify.run(["--root", REPO_ROOT]), 0)
 
     def test_fixture_violations_exit_nonzero(self):
         code = lqs_verify.run(
-            ["--root", TESTDATA, "--frontend", "lite", "--checks", "status",
-             "--no-pairing", os.path.join(TESTDATA, "status_fixture.cc")])
+            ["--root", TESTDATA, "--checks", "status", "--no-pairing",
+             os.path.join(TESTDATA, "status_fixture.cc")])
         self.assertEqual(code, 1)
 
     def test_locks_fixture_corpus_exits_nonzero(self):
         code = lqs_verify.run(
-            ["--root", os.path.join(TESTDATA, "locks"), "--frontend",
-             "lite", "--checks", "locks"])
+            ["--root", os.path.join(TESTDATA, "locks"), "--checks",
+             "locks"])
         self.assertEqual(code, 1)
 
     def test_determinism_fixture_exits_nonzero(self):
         code = lqs_verify.run(
-            ["--root", TESTDATA, "--frontend", "lite", "--checks",
-             "determinism",
+            ["--root", TESTDATA, "--checks", "determinism",
              os.path.join(TESTDATA, "determinism_fixture.cc")])
         self.assertEqual(code, 1)
 
     def test_gating_checks_pass_on_the_real_tree(self):
         # The CI gate: locks + determinism alone, whole tree, exit 0.
         self.assertEqual(
-            lqs_verify.run(["--root", REPO_ROOT, "--frontend", "lite",
+            lqs_verify.run(["--root", REPO_ROOT,
                             "--checks", "locks,determinism"]), 0)
 
     def test_unknown_check_is_a_usage_error(self):
