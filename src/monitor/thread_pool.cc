@@ -21,6 +21,11 @@ ThreadPool::ThreadPool(int num_threads) {
   for (int i = 1; i < num_threads_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  // Return only once every worker has taken mu_: a thread's first lock
+  // sizes its lock-rank bookkeeping, and that one-time cost belongs to
+  // construction, not to whatever the caller measures next.
+  MutexLock lock(&mu_);
+  while (workers_started_ < num_threads_ - 1) job_done_.Wait(&mu_);
 }
 
 ThreadPool::~ThreadPool() {
@@ -55,6 +60,11 @@ size_t ThreadPool::Drain(Job* job) {
 }
 
 void ThreadPool::WorkerLoop() {
+  {
+    MutexLock lock(&mu_);
+    ++workers_started_;
+  }
+  job_done_.SignalAll();
   uint64_t seen_generation = 0;
   while (true) {
     Job* job = nullptr;

@@ -31,6 +31,8 @@ namespace lqs {
 class ThreadPool {
  public:
   /// `num_threads` <= 0 picks a hardware-based default (capped — see .cc).
+  /// Returns once every worker has started and taken the pool lock once,
+  /// so no worker's first-use allocation lands in a later ParallelFor.
   explicit ThreadPool(int num_threads);
   /// Joins the workers. Destroying the pool while a ParallelFor is still in
   /// flight on another thread is a contract violation and aborts with a
@@ -87,9 +89,13 @@ class ThreadPool {
   /// Leaf lock for the job handoff; see lock_rank::kThreadPool.
   Mutex mu_{lock_rank::kThreadPool, "ThreadPool::mu_"};
   CondVar job_ready_;
+  /// Signalled when a worker lets go of a job, and once when it starts
+  /// (the constructor waits for every start).
   CondVar job_done_;
   uint64_t job_generation_ LQS_GUARDED_BY(mu_) = 0;
   bool shutdown_ LQS_GUARDED_BY(mu_) = false;
+  /// Workers that have entered WorkerLoop.
+  int workers_started_ LQS_GUARDED_BY(mu_) = 0;
   Job* current_job_ LQS_GUARDED_BY(mu_) = nullptr;
 };
 

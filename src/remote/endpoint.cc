@@ -37,25 +37,29 @@ PollResult LoopbackEndpoint::Poll(const PollRequest& request) {
   } else {
     target = trace_->SnapshotAtOrBefore(request.now_ms);
   }
-  if (target != nullptr) {
-    bool sent_delta = false;
+  // The ack names a snapshot by bit-exact time; it is a valid base only if
+  // this trace actually holds it (an ack from another query's timeline, or
+  // one damaged in flight, falls back to a keyframe). Completion and a
+  // keyframe demand never use it.
+  const ProfileSnapshot* base = nullptr;
+  if (target != nullptr && !complete && request.has_ack &&
+      !request.want_keyframe) {
+    base = trace_->SnapshotAtOrBefore(request.ack_time_ms);
+    if (base != nullptr && !SameBits(base->time_ms, request.ack_time_ms)) {
+      base = nullptr;
+    }
+  }
+  // Nothing newer than the ack: the empty response says so and tells the
+  // client to stop asking this tick. It is neither a delta nor a keyframe,
+  // so the keyframe schedule does not move.
+  const bool up_to_date = base != nullptr && target->time_ms <= base->time_ms;
+  if (target != nullptr && !up_to_date) {
     const bool keyframe_due =
         options_.keyframe_interval > 0 &&
         deltas_since_keyframe_ + 1 >= options_.keyframe_interval;
-    if (options_.serve_deltas && !complete && request.has_ack &&
-        !request.want_keyframe && !keyframe_due) {
-      // The ack names a snapshot by bit-exact time; it is a valid base only
-      // if this trace actually holds it (an ack from another query's
-      // timeline, or one damaged in flight, falls back to a keyframe).
-      const ProfileSnapshot* base =
-          trace_->SnapshotAtOrBefore(request.ack_time_ms);
-      if (base != nullptr && SameBits(base->time_ms, request.ack_time_ms) &&
-          MakeSnapshotDeltaInto(*base, *target, &response.delta).ok()) {
-        response.has_delta = true;
-        sent_delta = true;
-      }
-    }
-    if (sent_delta) {
+    if (options_.serve_deltas && base != nullptr && !keyframe_due &&
+        MakeSnapshotDeltaInto(*base, *target, &response.delta).ok()) {
+      response.has_delta = true;
       ++deltas_since_keyframe_;
     } else {
       response.has_snapshot = true;

@@ -21,8 +21,10 @@ struct PollRequest {
   /// Delta protocol (DESIGN.md §13). `has_ack` says the client holds the
   /// snapshot whose bit-exact time is `ack_time_ms`; a delta-capable server
   /// may answer with a SnapshotDelta against that base instead of a full
-  /// snapshot. A lost delta simply leaves the ack where it was — the server
-  /// keeps diffing against the base the client actually holds.
+  /// snapshot, and any server may answer "nothing newer than your ack" (an
+  /// empty PollResponse) when it holds nothing fresher. A lost delta simply
+  /// leaves the ack where it was — the server keeps diffing against the
+  /// base the client actually holds.
   bool has_ack = false;
   double ack_time_ms = 0;
   /// Set after the client hit a delta it could not apply (base mismatch):
@@ -58,8 +60,9 @@ class SnapshotEndpoint {
   virtual ~SnapshotEndpoint() = default;
 
   /// Answers one poll. Stateful implementations may return responses to
-  /// *earlier* requests (late deliveries) — the client matches on snapshot
-  /// recency, not request id.
+  /// *earlier* requests (late deliveries) — the client filters on snapshot
+  /// recency, and uses the request id only to tell a late delivery (keep
+  /// chasing) from the server's current answer (stop this tick).
   virtual PollResult Poll(const PollRequest& request) = 0;
 
   /// Virtual time at which the monitored query completes, when the
@@ -86,7 +89,11 @@ struct LoopbackOptions {
 /// encode/decode path as a genuinely remote one. With
 /// LoopbackOptions::serve_deltas it also implements the server half of the
 /// delta protocol: diff against the acked base, keyframe on schedule or on
-/// demand, always full for completion.
+/// demand, always full for completion. In both modes a valid ack (a trace
+/// snapshot's bit-exact time) with no newer snapshot behind it gets the
+/// empty PollResponse, "nothing newer than your ack", unless the query is
+/// complete or the request wants a keyframe; that answer does not count
+/// toward the keyframe schedule.
 ///
 /// The endpoint owns the response it encodes and reuses it across polls, so
 /// the delta ops and the keyframe snapshot keep their capacity, and it

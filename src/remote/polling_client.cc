@@ -263,7 +263,8 @@ const ClientView& PollingClient::Poll(double now_ms) {
       continue;
     }
     link_alive = true;
-    if (decoded_.request_id != request.request_id) {
+    const bool answers_request = decoded_.request_id == request.request_id;
+    if (!answers_request) {
       // A response to a request other than the one just sent: a late
       // delivery surfacing from behind the link's queue, or a misroute.
       // Late deliveries are legitimate data, so the payload still goes
@@ -277,45 +278,38 @@ const ClientView& PollingClient::Poll(double now_ms) {
               ? ApplySnapshotDelta(decoded_.delta, last_accepted_,
                                    &reassembled_)
               : Status::NotFound("remote: delta with no base snapshot");
-      if (applied.ok()) {
-        ++stats_.deltas_applied;
-        if (MaybeAccept(&reassembled_, decoded_.query_complete)) {
-          accepted_fresh = true;
-          break;
-        }
-        // Reassembled to a duplicate (the server had no fresh snapshot):
-        // no news; remaining attempts keep chasing.
-      } else if (applied.code() == Status::Code::kNotFound) {
+      if (applied.code() == Status::Code::kNotFound) {
         // Base mismatch: our ack raced a keyframe, or we never had a base.
         // State is untouched — demand a keyframe on the next request
         // instead of guessing.
         need_keyframe_ = true;
         ++stats_.delta_resyncs;
-      } else {
+        continue;
+      }
+      if (!applied.ok()) {
         // Structurally invalid delta (operator count, bad index): the
         // frame passed CRC but the message is nonsense. Same treatment as
         // a decode error.
         ++stats_.decode_errors;
         back_off();
+        continue;
       }
-      continue;
-    }
-    if (decoded_.has_snapshot) {
+      ++stats_.deltas_applied;
+      accepted_fresh = MaybeAccept(&reassembled_, decoded_.query_complete);
+    } else if (decoded_.has_snapshot) {
       // A full snapshot always resynchronizes the delta protocol, accepted
       // or not — the server honored (or pre-empted) the keyframe demand.
       need_keyframe_ = false;
-      if (MaybeAccept(&decoded_.snapshot, decoded_.query_complete)) {
-        accepted_fresh = true;
-        break;
-      }
-      // A duplicate or reordered-stale delivery: the link works but this
-      // response carries no news. Remaining attempts chase the fresh data
-      // that may sit behind it (e.g. behind a late-delivery queue).
-      continue;
+      accepted_fresh =
+          MaybeAccept(&decoded_.snapshot, decoded_.query_complete);
     }
-    // The server genuinely has nothing yet (query younger than its first
-    // DMV sample). Not a failure; nothing to chase this tick.
-    break;
+    // A fresh snapshot ends the tick. So does no news — an empty answer
+    // ("nothing newer than your ack", or no DMV sample yet), a duplicate or
+    // a regression — when it answers the request just sent: that is the
+    // server's current state, and asking again this tick would only repeat
+    // it. A late delivery says nothing about that state; the remaining
+    // attempts chase what may sit behind it in the queue.
+    if (accepted_fresh || answers_request) break;
   }
   BuildView(now_ms, accepted_fresh, link_alive);
   return view_;

@@ -118,6 +118,11 @@ struct ClientStats {
 ///    running backwards) are rejected, so accepted snapshot timestamps are
 ///    strictly increasing — the monotone replay the invariant checkers
 ///    demand;
+///  - an answer to the request just sent that brings nothing fresh (the
+///    server's "nothing newer than your ack", a duplicate or a regression)
+///    ends the tick's attempts: one DMV query per refresh, as in the
+///    paper. Only a late delivery (request_id mismatch) keeps chasing, and
+///    only timeouts and decode errors back off;
 ///  - on ticks with nothing fresh the last snapshot is held (or
 ///    interpolated, per StalenessPolicy) and flagged stale;
 ///  - the *served* view is additionally clamped so counters never move
@@ -150,10 +155,11 @@ class PollingClient {
   /// valid until the next Poll().
   LQS_ALLOC_OK(
       "transport path: each attempt receives its frame by value from the "
-      "endpoint (one allocation); decode, delta reassembly and acceptance "
-      "reuse client-owned buffers once sized. tests/estimator_alloc_test.cc "
-      "bounds a warm delta loopback client at attempts + 8 allocations and "
-      "a monitor tick over remote delta sessions at 2 + attempts")
+      "endpoint (one allocation, the empty up-to-date answer included); "
+      "decode, delta reassembly and acceptance reuse client-owned buffers "
+      "once sized. tests/estimator_alloc_test.cc bounds a warm delta "
+      "loopback client at attempts + 8 allocations and a monitor tick over "
+      "remote delta sessions at 2 + attempts")
   const ClientView& Poll(double now_ms);
 
   /// Last view without polling again.

@@ -154,10 +154,11 @@ Status ApplySnapshotDelta(const SnapshotDelta& delta,
 
 /// One poll answer from a SnapshotEndpoint: the freshest snapshot the server
 /// holds — as a full snapshot or as a delta against the client's
-/// acknowledged base — or "nothing yet" for a query that has not produced
-/// one. `query_complete` marks the snapshot as the final one — counters are
-/// final, the query is done (completion responses are always full
-/// snapshots, never deltas).
+/// acknowledged base — or, with neither arm set, no news: "nothing yet" for
+/// a query that has not produced a snapshot, or "nothing newer than your
+/// ack" for a client that already holds the freshest one. `query_complete`
+/// marks the snapshot as the final one — counters are final, the query is
+/// done (completion responses are always full snapshots, never deltas).
 struct PollResponse {
   uint64_t request_id = 0;
   bool has_snapshot = false;

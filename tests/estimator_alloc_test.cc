@@ -385,8 +385,9 @@ TEST_F(EstimatorAllocTest, DeltaLoopbackClientAllocatesOnlyTheFramePerAttempt) {
   // and delta, the client decodes into one response, reassembles into one
   // snapshot and rotates accepted snapshots by swapping, so nothing else on
   // the path may allocate per attempt. Polling at half the snapshot
-  // interval under kInterpolate also walks the stale ticks (duplicate
-  // deltas, retries, the interpolated view) and the periodic keyframes.
+  // interval under kInterpolate also walks the stale ticks (the empty
+  // "nothing newer" answer, the interpolated view) and the periodic
+  // keyframes.
   Plan plan = Annotated(
       HashAgg(HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0},
                        {1}),
@@ -406,8 +407,10 @@ TEST_F(EstimatorAllocTest, DeltaLoopbackClientAllocatesOnlyTheFramePerAttempt) {
   const double horizon = result.trace.total_elapsed_ms;
   const double step = exec.snapshot_interval_ms / 2;
   // Warmup spans two keyframe cycles, so every buffer on the path has
-  // held a full snapshot and a delta before the window opens.
-  const double warm_ms = horizon / 4;
+  // held a full snapshot and a delta before the window opens. Every other
+  // poll lands inside a snapshot interval and gets "nothing newer than
+  // your ack", so two cycles take half the trace.
+  const double warm_ms = horizon / 2;
   double now = 0;
   for (; now < warm_ms; now += step) (void)client.Poll(now);
   ASSERT_GT(client.stats().deltas_applied, 32u);

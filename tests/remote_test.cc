@@ -14,7 +14,11 @@
 //  - the ISSUE acceptance run: 64 monitored sessions over a lossy link
 //    (drop=10%, delay up to 3 polling intervals, dup=5%, seeded) all
 //    complete, each session's rendered snapshot timestamps are monotone,
-//    and every final progress lands within 5 points of the fault-free run.
+//    and every final progress lands within 5 points of the fault-free run;
+//  - an answer to the request just sent that brings nothing fresh (the
+//    server's "nothing newer than your ack", a duplicate, a regression)
+//    ends the tick's attempts; only late deliveries keep chasing, so the
+//    lossy fleet retries for the link's faults and not for an idle server.
 
 #include <cmath>
 #include <deque>
@@ -100,6 +104,23 @@ ScriptedEndpoint::Step Respond(ProfileSnapshot snap, bool complete = false) {
   };
 }
 
+// Answers the request `age` requests before the one just sent (0: that
+// request itself; more: a delivery surfacing late from behind the link's
+// queue) with `snap`, or with the empty "no news" response when `snap` is
+// null.
+ScriptedEndpoint::Step Reply(const ProfileSnapshot* snap, uint64_t age) {
+  PollResponse response;
+  response.has_snapshot = snap != nullptr;
+  if (snap != nullptr) response.snapshot = *snap;
+  return [response, age](const PollRequest& request) mutable {
+    response.request_id = request.request_id - age;
+    PollResult result;
+    EncodePollResponse(response, &result.frame);
+    result.arrival_ms = request.now_ms;
+    return result;
+  };
+}
+
 ScriptedEndpoint::Step TimeOut() {
   return [](const PollRequest& request) {
     PollResult result;
@@ -152,6 +173,105 @@ TEST(LoopbackEndpointTest, ServesTraceSnapshotsAndCompletion) {
   EXPECT_EQ(done.snapshot.operators[0].row_count, 300u);
 }
 
+// Four DMV samples, 10 ms apart, then completion at 50 ms.
+ProfileTrace FourSampleTrace() {
+  ProfileTrace trace;
+  for (int i = 1; i <= 4; ++i) {
+    trace.snapshots.push_back(
+        TinySnapshot(i * 10.0, static_cast<uint64_t>(i) * 100));
+  }
+  trace.final_snapshot = TinySnapshot(50, 500);
+  trace.total_elapsed_ms = 50;
+  return trace;
+}
+
+// Sends one request to `endpoint` and decodes the answer.
+PollResponse Ask(LoopbackEndpoint* endpoint, double now_ms, bool has_ack,
+                 double ack_time_ms, bool want_keyframe = false) {
+  PollRequest request;
+  request.request_id = 7;
+  request.now_ms = now_ms;
+  request.deadline_ms = now_ms + 50;
+  request.has_ack = has_ack;
+  request.ack_time_ms = ack_time_ms;
+  request.want_keyframe = want_keyframe;
+  PollResult result = endpoint->Poll(request);
+  EXPECT_TRUE(result.status.ok());
+  auto response = DecodePollResponse(result.frame);
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().request_id, 7u);
+  return response.value();
+}
+
+bool IsEmpty(const PollResponse& response) {
+  return !response.has_snapshot && !response.has_delta &&
+         !response.query_complete;
+}
+
+TEST(LoopbackEndpointTest, UpToDateAckGetsNothingNewerInBothModes) {
+  const ProfileTrace trace = FourSampleTrace();
+  for (bool deltas : {false, true}) {
+    SCOPED_TRACE(deltas ? "delta mode" : "full mode");
+    LoopbackOptions options;
+    options.serve_deltas = deltas;
+    LoopbackEndpoint endpoint(&trace, options);
+    // The client holds the 20 ms sample and the server has nothing newer.
+    EXPECT_TRUE(IsEmpty(Ask(&endpoint, 24, true, 20)));
+    // An ack ahead of the server's clock (a retry asked a later question
+    // last tick) is not newer than what the server holds either.
+    EXPECT_TRUE(IsEmpty(Ask(&endpoint, 24, true, 30)));
+    // Once a newer sample exists the server sends it.
+    PollResponse newer = Ask(&endpoint, 32, true, 20);
+    EXPECT_EQ(newer.has_delta, deltas);
+    EXPECT_EQ(newer.has_snapshot, !deltas);
+  }
+}
+
+TEST(LoopbackEndpointTest, NothingNewerLeavesTheKeyframeScheduleAlone) {
+  const ProfileTrace trace = FourSampleTrace();
+  LoopbackOptions options;
+  options.serve_deltas = true;
+  options.keyframe_interval = 3;  // every third frame is a keyframe
+  LoopbackEndpoint endpoint(&trace, options);
+  EXPECT_TRUE(Ask(&endpoint, 12, false, 0).has_snapshot);  // first keyframe
+  EXPECT_TRUE(Ask(&endpoint, 22, true, 10).has_delta);     // delta 1
+  EXPECT_TRUE(IsEmpty(Ask(&endpoint, 24, true, 20)));      // not counted
+  // Had the empty answer counted as a delta, this would be the keyframe.
+  EXPECT_TRUE(Ask(&endpoint, 32, true, 20).has_delta);  // delta 2
+  // Had it reset the schedule, this would still be a delta.
+  EXPECT_TRUE(Ask(&endpoint, 42, true, 30).has_snapshot);  // keyframe
+}
+
+// The full-snapshot escapes win over "nothing newer", in both modes: an
+// ack that names no sample of this trace (damaged in flight, or another
+// query's timeline) is neither a delta base nor proof the client is up to
+// date, a keyframe demand is always honored, and completion is always the
+// full final snapshot.
+TEST(LoopbackEndpointTest, FullSnapshotEscapesBeatNothingNewer) {
+  const ProfileTrace trace = FourSampleTrace();
+  for (bool deltas : {false, true}) {
+    SCOPED_TRACE(deltas ? "delta mode" : "full mode");
+    LoopbackOptions options;
+    options.serve_deltas = deltas;
+    LoopbackEndpoint endpoint(&trace, options);
+    auto expect_full = [](const PollResponse& response, double time_ms) {
+      ASSERT_TRUE(response.has_snapshot);
+      EXPECT_FALSE(response.has_delta);
+      EXPECT_DOUBLE_EQ(response.snapshot.time_ms, time_ms);
+    };
+    for (double ack : {15.0, 25.0, std::nextafter(20.0, 21.0)}) {
+      SCOPED_TRACE(ack);
+      expect_full(Ask(&endpoint, 24, true, ack), 20);
+    }
+    expect_full(Ask(&endpoint, 24, true, 20, /*want_keyframe=*/true), 20);
+    for (double ack : {40.0, 60.0}) {
+      PollResponse done = Ask(&endpoint, 55, true, ack);
+      expect_full(done, 50);
+      EXPECT_TRUE(done.query_complete);
+    }
+  }
+}
+
 TEST(PollingClientTest, AcceptsFreshHoldsStaleAndCompletes) {
   ProfileTrace trace;
   trace.snapshots = {TinySnapshot(10, 100), TinySnapshot(20, 200)};
@@ -172,12 +292,16 @@ TEST(PollingClientTest, AcceptsFreshHoldsStaleAndCompletes) {
   EXPECT_FALSE(v1.stale);
   EXPECT_DOUBLE_EQ(v1.staleness_ms, 2.0);
 
+  const uint64_t attempts_before = client.stats().attempts;
   const ClientView& v2 = client.Poll(14);  // nothing new on the server
   ASSERT_NE(v2.snapshot, nullptr);
   EXPECT_DOUBLE_EQ(v2.snapshot->time_ms, 10.0);  // held
   EXPECT_TRUE(v2.stale);
   EXPECT_DOUBLE_EQ(v2.staleness_ms, 4.0);
-  EXPECT_EQ(client.stats().duplicates_ignored, 1u);
+  // The server answered "nothing newer than your ack" instead of resending
+  // the 10 ms sample, so there was no duplicate to ignore.
+  EXPECT_EQ(client.stats().attempts - attempts_before, 1u);
+  EXPECT_EQ(client.stats().duplicates_ignored, 0u);
 
   const ClientView& v3 = client.Poll(35);
   ASSERT_NE(v3.snapshot, nullptr);
@@ -280,11 +404,13 @@ TEST(PollingClientTest, RejectsRegressionsAndIgnoresDuplicates) {
 }
 
 TEST(PollingClientTest, RetryChasesFreshDataBehindStaleDelivery) {
-  // First attempt of the poll yields a reordered stale response; the retry
-  // budget is spent chasing, and the second attempt lands the fresh one.
+  // First attempt of the poll yields a reordered stale response to an
+  // earlier request; the retry budget is spent chasing, and the second
+  // attempt lands the fresh one.
   auto scripted = std::make_unique<ScriptedEndpoint>();
+  const ProfileSnapshot stale = TinySnapshot(10, 100);
   scripted->script.push_back(Respond(TinySnapshot(20, 200)));
-  scripted->script.push_back(Respond(TinySnapshot(10, 100)));  // stale first
+  scripted->script.push_back(Reply(&stale, 1));             // stale first
   scripted->script.push_back(Respond(TinySnapshot(30, 300)));  // then fresh
 
   PollingClientOptions options;
@@ -296,6 +422,92 @@ TEST(PollingClientTest, RetryChasesFreshDataBehindStaleDelivery) {
   EXPECT_DOUBLE_EQ(view.snapshot->time_ms, 30.0);
   EXPECT_FALSE(view.stale);
   EXPECT_EQ(client.stats().regressions_rejected, 1u);
+}
+
+TEST(PollingClientTest, LateEmptyOrStaleDeliveryStillChases) {
+  // Late deliveries say nothing about the server's current state: an empty
+  // answer and a duplicate of the held sample, both to earlier requests,
+  // leave the remaining attempts chasing, and the third lands fresh data.
+  auto scripted = std::make_unique<ScriptedEndpoint>();
+  const ProfileSnapshot held = TinySnapshot(20, 200);
+  scripted->script.push_back(Respond(held));
+  scripted->script.push_back(Reply(nullptr, 1));
+  scripted->script.push_back(Reply(&held, 2));
+  scripted->script.push_back(Respond(TinySnapshot(30, 300)));
+
+  PollingClientOptions options;
+  options.max_attempts = 3;
+  PollingClient client(std::move(scripted), options);
+  client.Poll(21);
+  const ClientView& view = client.Poll(31);
+  ASSERT_NE(view.snapshot, nullptr);
+  EXPECT_DOUBLE_EQ(view.snapshot->time_ms, 30.0);
+  EXPECT_FALSE(view.stale);
+  EXPECT_EQ(client.stats().attempts, 4u);
+  EXPECT_EQ(client.stats().retries, 2u);
+  EXPECT_EQ(client.stats().request_id_mismatches, 2u);
+  EXPECT_EQ(client.stats().duplicates_ignored, 1u);
+}
+
+TEST(PollingClientTest, CurrentNoNewsAnswerEndsTheTick) {
+  // Answers to the request just sent that bring nothing fresh — a
+  // duplicate, a regression, an empty response — are the server's current
+  // state: asking again this tick would only repeat them.
+  auto scripted = std::make_unique<ScriptedEndpoint>();
+  ScriptedEndpoint* endpoint = scripted.get();
+  endpoint->script.push_back(Respond(TinySnapshot(20, 200)));
+  endpoint->script.push_back(Respond(TinySnapshot(20, 200)));  // duplicate
+  endpoint->script.push_back(Respond(TinySnapshot(10, 100)));  // regression
+  endpoint->script.push_back(Reply(nullptr, 0));          // empty
+
+  PollingClientOptions options;
+  options.max_attempts = 4;
+  PollingClient client(std::move(scripted), options);
+  client.Poll(21);
+  for (double now : {22.0, 23.0, 24.0}) {
+    const ClientView& view = client.Poll(now);
+    ASSERT_NE(view.snapshot, nullptr);
+    EXPECT_TRUE(view.stale);
+    EXPECT_DOUBLE_EQ(view.snapshot->time_ms, 20.0);
+  }
+  EXPECT_EQ(client.stats().attempts, 4u) << "one attempt per tick";
+  EXPECT_EQ(client.stats().retries, 0u);
+  EXPECT_EQ(client.stats().duplicates_ignored, 1u);
+  EXPECT_EQ(client.stats().regressions_rejected, 1u);
+  EXPECT_EQ(client.stats().failed_polls, 0u);
+  EXPECT_EQ(endpoint->requests.size(), 4u);
+}
+
+TEST(PollingClientTest, DeltaTickInsideOneDmvIntervalMakesOneAttempt) {
+  // The paper's client issues one DMV query per refresh. A delta loopback
+  // client polled twice inside one 10 ms sampling interval gets "nothing
+  // newer than your ack" on the second tick and stops there, even with
+  // retries to spare.
+  const ProfileTrace trace = FourSampleTrace();
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  PollingClientOptions options;
+  options.max_attempts = 4;
+  PollingClient client(std::make_unique<LoopbackEndpoint>(&trace, loopback),
+                       options);
+  ASSERT_FALSE(client.Poll(21).stale);  // keyframe at 20 ms
+
+  const ClientStats before = client.stats();
+  const ClientView& view = client.Poll(25);
+  ASSERT_NE(view.snapshot, nullptr);
+  EXPECT_TRUE(view.stale);
+  EXPECT_DOUBLE_EQ(view.snapshot->time_ms, 20.0);
+  EXPECT_EQ(client.stats().attempts - before.attempts, 1u);
+  EXPECT_EQ(client.stats().retries - before.retries, 0u);
+  EXPECT_EQ(client.stats().duplicates_ignored, 0u);
+  EXPECT_EQ(client.stats().deltas_applied, before.deltas_applied);
+
+  // The next interval's sample arrives as a delta on the first attempt.
+  const ClientView& next = client.Poll(31);
+  EXPECT_FALSE(next.stale);
+  EXPECT_DOUBLE_EQ(next.snapshot->time_ms, 30.0);
+  EXPECT_EQ(client.stats().deltas_applied, before.deltas_applied + 1);
+  EXPECT_EQ(client.stats().retries, 0u);
 }
 
 TEST(PollingClientTest, DecodeErrorsDegradeThenOneResponseRecovers) {
@@ -800,6 +1012,79 @@ TEST(RemoteMonitorTest, SixtyFourLossySessionsCompleteCloseToFaultFree) {
   EXPECT_EQ(lossy.second.degraded_sessions, 0u);
   EXPECT_EQ(fault_free.second.transport_failures, 0u);
   EXPECT_EQ(fault_free.second.decode_errors, 0u);
+}
+
+// 64 delta sessions over the lossy_delta_1k benchmark's link (drop 10%,
+// delay 10% up to 3 sampling intervals, dup 5%, corrupt 2%; the default
+// 50 ms timeout outlasts every delay), ticked once per DMV sampling
+// interval. Retries exist to recover from the link's faults, not to re-ask
+// a server that has nothing newer than the client's ack: every retry
+// follows a lost or damaged response, a resync or a late delivery, and
+// there are far fewer retries than polls. (The acceptance run's link above
+// fails about a quarter of all attempts, so its link-driven retries alone
+// come to about 0.5 per poll.)
+TEST(RemoteMonitorTest, SixtyFourLossyDeltaSessionsRetryOnlyForTheLink) {
+  std::unique_ptr<Catalog> catalog = MakeTestCatalog();
+  constexpr double kIntervalMs = 5.0;
+  std::vector<Plan> plans;
+  plans.push_back(MustFinalize(
+      HashJoin(JoinKind::kInner, Scan("t_small"), Scan("t_big"), {0}, {1}),
+      *catalog));
+  plans.push_back(MustFinalize(
+      HashAgg(Scan("t_big"), {2}, {Count()}), *catalog));
+  plans.push_back(MustFinalize(Sort(Scan("t_big"), {2}), *catalog));
+  plans.push_back(MustFinalize(
+      Filter(Scan("t_big"), ColCmp(2, CompareOp::kLt, 50)), *catalog));
+  std::vector<ExecutionResult> traces;
+  for (Plan& plan : plans) {
+    ASSERT_OK(AnnotatePlan(&plan, *catalog, OptimizerOptions{}));
+    ExecOptions exec;
+    exec.snapshot_interval_ms = kIntervalMs;
+    traces.push_back(MustExecute(plan, catalog.get(), exec));
+  }
+
+  MonitorOptions monitor_options;
+  monitor_options.num_threads = 4;
+  monitor_options.tick_ms = kIntervalMs;
+  MonitorService monitor(monitor_options);
+  LoopbackOptions loopback;
+  loopback.serve_deltas = true;
+  for (int i = 0; i < 64; ++i) {
+    PollingClientOptions client;
+    client.max_attempts = 4;
+    client.staleness_policy = StalenessPolicy::kInterpolate;
+    client.jitter_seed = 1000 + static_cast<uint64_t>(i);
+    FaultConfig faults;
+    faults.drop_probability = 0.10;
+    faults.delay_probability = 0.10;
+    faults.max_delay_ms = 3 * kIntervalMs;
+    faults.duplicate_probability = 0.05;
+    faults.corrupt_probability = 0.02;
+    faults.seed = 100 + static_cast<uint64_t>(i);
+    const size_t q = static_cast<size_t>(i) % plans.size();
+    monitor.RegisterRemoteSession(
+        "q" + std::to_string(i), &plans[q], catalog.get(),
+        std::make_unique<FaultInjectingEndpoint>(
+            std::make_unique<LoopbackEndpoint>(&traces[q].trace, loopback),
+            faults),
+        /*start_offset_ms=*/(i % 8) * 2 * kIntervalMs, client);
+  }
+  monitor.RunToCompletion(nullptr);
+  ASSERT_TRUE(monitor.AllSessionsDone());
+  const MonitorStats stats = monitor.stats();
+  ASSERT_GT(stats.transport_polls, 0u);
+  EXPECT_GT(stats.transport_retries, 0u) << "the faults never forced a retry";
+  EXPECT_LE(stats.transport_retries,
+            stats.transport_failures + stats.decode_errors +
+                stats.delta_resyncs + stats.request_id_mismatches)
+      << "a retry followed a current answer that brought no news";
+  EXPECT_LT(static_cast<double>(stats.transport_retries),
+            0.3 * static_cast<double>(stats.transport_polls))
+      << stats.transport_retries << " retries over " << stats.transport_polls
+      << " polls; failures " << stats.transport_failures << ", decode errors "
+      << stats.decode_errors << ", duplicates " << stats.duplicates_ignored
+      << ", regressions " << stats.regressions_rejected << ", late "
+      << stats.request_id_mismatches;
 }
 
 // Local trace-backed sessions and remote loopback sessions of the same
